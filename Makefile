@@ -65,7 +65,7 @@ bench-bigsim:
 # Jacobi job with ULT and event ranks at 16,384 ranks, then event
 # ranks alone at AMPI_BENCH_RANKS (default one million). Reports wall
 # ns/step and resident B/rank; a ULT rank carries an isomalloc stack
-# and a goroutine, an event rank is a ~184-byte continuation record.
+# and a goroutine, an event rank is a 248-byte slot plus its frame stack.
 AMPI_BENCH_RANKS ?= 1000000
 
 bench-ampi:

@@ -3,7 +3,8 @@
 // paper's problem classes and rank/PE configurations.
 //
 // Usage: btmz [-steps 20] [-lb greedy] [-coll tree|flat|topo] [-agg off|on|N:B]
-//             [-steal off|on] [-chunks N] [-overlap] [-reduce N]
+//
+//	[-steal off|on] [-chunks N] [-overlap] [-reduce N]
 //
 // -overlap makes the halo exchange split-phase (receives posted and
 // halos sent before the solve, completed after it) and pipelines the
@@ -16,7 +17,7 @@
 // on the chosen flow backend instead of the legacy thread job: one
 // zone per rank on the skewed class (-class, default Z4K), reported
 // with and without the LB gate. Event mode is the configuration that
-// scales past 10^5 zones, moving ~180-byte records instead of stacks.
+// scales past 10^5 zones, moving 57-byte records instead of stacks.
 package main
 
 import (

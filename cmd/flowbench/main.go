@@ -21,7 +21,7 @@
 //
 // -migrate N inserts one collective LB gate after Jacobi iteration N
 // (with a deterministic work skew so the balancer has something to
-// fix): ULT ranks migrate as threads, event ranks as ~180-byte
+// fix): ULT ranks migrate as threads, event ranks as 57-byte
 // continuation records.
 //
 // -overlap switches the Jacobi runs to the split-phase schedule

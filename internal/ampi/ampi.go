@@ -170,7 +170,8 @@ type Options struct {
 	// requires a continuation Program — see NewProgram — and does not
 	// support Aggregate. Event ranks migrate like ULT ranks (the
 	// Migrate gate, or a runtime-driven Rebalance), but move as
-	// ~180-byte continuation records instead of stack images.
+	// continuation records (57 bytes with an empty mailbox) instead
+	// of stack images.
 	Mode string
 
 	// LocalPUP serializes a rank's PC.Local across a process boundary
@@ -199,12 +200,14 @@ type Job struct {
 	rankOf map[comm.EntityID]int
 
 	// Continuation-program state (NewProgram). prog is the shared
-	// immutable Proc tree both modes interpret; pcs are the per-rank
-	// program contexts in ULT mode; ev is the event engine in event
-	// mode (exactly one of ranks/ev is populated for program jobs).
-	prog Proc
-	pcs  []*PC
-	ev   *eventEngine
+	// immutable Proc tree both modes interpret, depth its static depth
+	// (the initial frame-stack capacity); pcs are the per-rank program
+	// contexts in ULT mode; ev is the event engine in event mode
+	// (exactly one of ranks/ev is populated for program jobs).
+	prog  Proc
+	depth int
+	pcs   []*PC
+	ev    *eventEngine
 
 	mu       sync.Mutex
 	lbPlans  map[uint64]loadbalance.Plan // epoch → plan

@@ -2,30 +2,30 @@ package ampi
 
 // The event-mode backend: each rank is one eventRank struct in a
 // contiguous per-job store — no goroutine, no channel, no stack. A
-// blocking point stores a continuation in the rank's slot and returns
-// to the owning PE's loop; message delivery (through the machine's
-// Pump) resumes exactly the waiting continuation, charging the
-// platform's EventDispatch curve per activation instead of a thread
-// switch. This is BigSim's tproc store applied to AMPI itself, and
-// the reason a million-rank job fits where the ULT backend needs a
-// stack and a goroutine per rank.
+// blocking point leaves the rank's frame stack (program.go) parked in
+// its slot and returns to the owning PE's loop; message delivery
+// (through the machine's Pump) resumes the interpreter on exactly
+// that stack, charging the platform's EventDispatch curve per
+// activation instead of a thread switch. This is BigSim's tproc store
+// applied to AMPI itself, and the reason a million-rank job fits
+// where the ULT backend needs a stack and a goroutine per rank.
 //
 // Migration: an event rank's migratable state is its continuation
 // RECORD — rank number, virtual time, measured load, the pending
-// receive spec, and any buffered messages: ~180 bytes, serialized
-// faithfully through pup (eventRecord implements migrate.Record).
-// The continuation closure itself (kont) and the program's Local
-// state are SHARED CODE plus state reachable from the record, the
-// CPC argument: because every rank runs the same immutable program
-// tree, the destination PE needs no stack or code image, only the
-// record. Moving a rank is therefore: batch-update the comm range
-// table (one epoch bump per LB step), flip the engine's owner word,
-// and round-trip the record through Extract/Install — no eviction,
-// no vmem image, no adoption.
+// receive spec, and any buffered messages, serialized faithfully
+// through pup (eventRecord implements migrate.Record; 57 bytes for a
+// rank with an empty mailbox). The frame stack names positions in the
+// shared program tree, and the program's Local state is reachable
+// from the slot: the CPC argument — because every rank runs the same
+// immutable program tree, the destination PE needs no stack or code
+// image, only the record. Moving a rank is therefore: batch-update
+// the comm range table (one epoch bump per LB step), flip the
+// engine's owner word, and round-trip the record through
+// Extract/Install — no eviction, no vmem image, no adoption.
 //
 // Concurrency: each rank carries its own mutex. The owning PE's
 // dispatch paths (dispatchStart, deliver, resumeGate) hold it while
-// running the rank's continuation, and migration's Extract/Install
+// the interpreter runs the rank, and migration's Extract/Install
 // take it too — so a mover never observes a half-run activation, and
 // a dispatcher never runs a rank that is mid-flight. The lock is
 // per-rank, not per-PE, because ownership itself changes: a per-PE
@@ -47,7 +47,6 @@ import (
 	"migflow/internal/core"
 	"migflow/internal/loadbalance"
 	"migflow/internal/pup"
-	"migflow/internal/sdag"
 )
 
 // deregBatchSize bounds how many finished ranks accumulate per PE
@@ -55,11 +54,12 @@ import (
 // tombstones range-table entries in place).
 const deregBatchSize = 4096
 
-// eventRank is one rank's entire flow-of-control state: ~180 bytes
-// plus whatever the program keeps in pc.Local, versus a goroutine,
-// two channels, and an isomalloc stack for a ULT rank.
+// eventRank is one rank's entire flow-of-control state: the struct
+// (its size is pinned by TestEventRankFootprint) plus the frame stack,
+// collective slots and whatever the program keeps in pc.Local, versus
+// a goroutine, two channels, and an isomalloc stack for a ULT rank.
 type eventRank struct {
-	mu sync.Mutex // guards every field; held while the rank's continuation runs
+	mu sync.Mutex // guards every field; held while the interpreter runs the rank
 
 	pc eventPC
 
@@ -68,25 +68,26 @@ type eventRank struct {
 	mbox []*comm.Message
 	head int
 
-	// waiting + kont are the stored continuation of a blocked Recv.
+	// waiting is the spec of the receive the rank is parked on (valid
+	// while hasWait); the frame stack says what to do with the match.
 	waiting matchSpec
-	hasWait bool
-	kont    func(*comm.Message)
 
-	// lbKont is the continuation parked at a Migrate gate, resumed by
-	// the runtime after the LB step.
-	lbKont func()
+	// hasWait marks a rank parked on a receive; atGate a rank parked
+	// at a Migrate gate, resumed by the runtime after the LB step.
+	hasWait bool
+	atGate  bool
+
+	// hasReseek marks a slot freshly installed from another process
+	// (shard.go): its frames were rebuilt from the shipped tree path,
+	// and the next tagReseek activation resumes them.
+	hasReseek bool
+
+	done bool
 
 	// busy accumulates Work nanoseconds since the last LB step — the
 	// event-mode load measurement (the record's analogue of a thread's
 	// consumed CPU time).
 	busy float64
-
-	// tramp is the rank's continuation trampoline (CPS backedges).
-	// Per-rank rather than per-PE because it is only ever touched
-	// under er.mu: a per-PE trampoline would be shared by whichever
-	// goroutines happen to dispatch residents mid-migration.
-	tramp sdag.Tramp
 
 	// seq counts activations and buffered deliveries. A migration
 	// record carries the seq it was extracted at; if the rank ran
@@ -94,11 +95,6 @@ type eventRank struct {
 	// races live traffic, never at a quiescent gate), the snapshot is
 	// stale and Install yields to the newer in-slot state.
 	seq uint64
-
-	// hasReseek marks a slot freshly installed from another process
-	// (shard.go): pc.seek holds the shipped tree path, and the next
-	// tagReseek activation re-descends the program to the blocked Recv.
-	hasReseek bool
 
 	// sendSeq/recvSeq number the per-peer payload streams and held
 	// parks out-of-order arrivals, all nil until a sharded run needs
@@ -108,8 +104,6 @@ type eventRank struct {
 	sendSeq map[int]uint64
 	recvSeq map[int]uint64
 	held    []*comm.Message
-
-	done bool
 }
 
 // eventPC embeds the shared program context so &er.pc can be handed
@@ -144,10 +138,9 @@ type eventEngine struct {
 
 	// sharded mirrors the machine: this process runs only the ranks
 	// whose owner PE is local. remaining then counts LOCAL unfinished
-	// ranks (adjusted by cross-process moves), finish never deregisters
-	// or releases the store (peers still forward through the
-	// directory), and every rank tracks its program-tree path so a
-	// blocked continuation can be re-seeked on another process.
+	// ranks (adjusted by cross-process moves), and finish never
+	// deregisters or releases the store (peers still forward through
+	// the directory).
 	sharded bool
 
 	// lbMu serializes Rebalance steps (plan → table batch → records).
@@ -210,10 +203,6 @@ func newEventEngine(j *Job) (*eventEngine, error) {
 		pc := &store[r].pc
 		pc.job, pc.rank = j, r
 		pc.be = e
-		pc.tramp = &store[r].tramp
-		if e.sharded {
-			pc.path = make([]int32, 0, 8)
-		}
 	}
 	e.ranks.Store(&store)
 	if err := j.m.Network().RegisterRange(e.base, pes); err != nil {
@@ -297,23 +286,29 @@ func (e *eventEngine) bootstrap(want func(r int) bool, fn func(r int)) {
 
 // dispatchStart runs rank r's program until its first blocking point
 // (or completion), charging one activation. The rank's lock is held
-// for the whole activation.
+// for the whole activation. A rank that already has frames is running
+// already: in a sharded job, a record from another process can install
+// before this process's Start, and that rank resumes through its
+// reseek activation, not from the program's root.
 func (e *eventEngine) dispatchStart(r int) {
 	er := &e.store()[r]
 	er.mu.Lock()
 	defer er.mu.Unlock()
+	if er.done || er.pc.frames != nil {
+		return
+	}
 	er.seq++
 	p := e.peOf(r)
 	e.job.m.PE(p).Clock.Advance(e.dispatchNs(p))
-	er.tramp.Schedule(func() {
-		e.job.prog.run(&er.pc, func() { e.finish(r) })
-	})
-	er.tramp.Drain()
+	er.pc.start()
+	if er.pc.exec(nil) {
+		e.finish(r)
+	}
 }
 
 // deliver is the shared range handler: it runs on the destination
 // PE's goroutine via Machine.Pump. A message either resumes the
-// rank's stored continuation (one EventDispatch activation), buffers
+// rank's parked frame stack (one EventDispatch activation), buffers
 // in its slot, or — when the rank moved after the message was sent —
 // is forwarded to chase it.
 func (e *eventEngine) deliver(pe int, msg *comm.Message) {
@@ -328,10 +323,10 @@ func (e *eventEngine) deliver(pe int, msg *comm.Message) {
 	er := &ranks[r]
 	er.mu.Lock()
 	if msg.Tag == tagReseek {
-		// Internal activation injected by ShardInstall: re-seek the
-		// installed continuation on the owning PE's own goroutine, then
-		// drain any held arrivals the record's stream state made
-		// in-order (the re-parked Recv may be waiting on exactly one).
+		// Internal activation injected by ShardInstall: resume the
+		// installed frames on the owning PE's own goroutine, then drain
+		// any held arrivals the record's stream state made in-order
+		// (the re-parked Recv may be waiting on exactly one).
 		e.reseekLocked(er, pe)
 		e.releaseHeldLocked(er, pe)
 		er.mu.Unlock()
@@ -381,22 +376,21 @@ func (e *eventEngine) deliver(pe int, msg *comm.Message) {
 }
 
 // acceptLocked hands one in-order message to the rank: resume the
-// stored continuation if it matches the parked Recv, else buffer.
-// er.mu held.
+// interpreter if it matches the parked receive, else buffer. er.mu
+// held.
 func (e *eventEngine) acceptLocked(er *eventRank, pe int, msg *comm.Message) {
 	er.seq++
 	if er.hasWait && e.matches(er.waiting, msg) {
 		er.hasWait = false
-		k := er.kont
-		er.kont = nil
 		p := e.job.m.PE(pe)
-		p.Clock.Advance(e.dispatchNs(pe)) // the activation: continuation re-enters the loop
+		p.Clock.Advance(e.dispatchNs(pe)) // the activation: the rank re-enters the loop
 		p.Clock.AdvanceTo(msg.Arrival)
 		if ovh := e.job.opts.MsgOverheadNs; ovh > 0 {
 			p.Clock.Advance(ovh)
 		}
-		er.tramp.Schedule(func() { k(msg) })
-		er.tramp.Drain()
+		if er.pc.exec(msg) {
+			e.finish(er.pc.rank)
+		}
 		return
 	}
 	er.mbox = append(er.mbox, msg)
@@ -465,7 +459,7 @@ func (er *eventRank) take(e *eventEngine, spec matchSpec) *comm.Message {
 // ---------------------------------------------------------------
 // backend interface
 //
-// send/recv/work/lbpoint are always called from a continuation
+// send/recv/work/lbpoint are always called from the interpreter
 // already running under the rank's lock (dispatchStart, deliver, or
 // resumeGate holds it), so they never lock the rank themselves.
 
@@ -503,7 +497,7 @@ func (e *eventEngine) send(pc *PC, dest, tag int, data []byte) {
 	}
 }
 
-func (e *eventEngine) recv(pc *PC, src, tag int, k func(*comm.Message)) {
+func (e *eventEngine) recv(pc *PC, src, tag int) *comm.Message {
 	er := &e.store()[pc.rank]
 	spec := matchSpec{src: src, tag: tag}
 	if m := er.take(e, spec); m != nil {
@@ -515,10 +509,10 @@ func (e *eventEngine) recv(pc *PC, src, tag int, k func(*comm.Message)) {
 		if ovh := e.job.opts.MsgOverheadNs; ovh > 0 {
 			p.Clock.Advance(ovh)
 		}
-		k(m)
-		return
+		return m
 	}
-	er.waiting, er.hasWait, er.kont = spec, true, k
+	er.waiting, er.hasWait = spec, true
+	return nil
 }
 
 func (e *eventEngine) work(pc *PC, ns float64) {
@@ -532,15 +526,15 @@ func (e *eventEngine) pe(pc *PC) int { return e.peOf(pc.rank) }
 // record; there is no stack to reserve or dirty.
 func (e *eventEngine) usestack(pc *PC, n uint64) {}
 
-// lbpoint parks the rank at the job's LB gate: the continuation goes
-// into lbKont (the record analogue of a thread suspending in
-// MPI_Migrate) and the arrival is registered. The runtime resumes it
-// — possibly on a different PE — after the plan is applied. A gate
-// sends no messages and never touches vt, so predicted time stays
-// bit-identical with and without migration.
-func (e *eventEngine) lbpoint(pc *PC, k func()) {
-	e.store()[pc.rank].lbKont = k
+// lbpoint parks the rank at the job's LB gate (the record analogue of
+// a thread suspending in MPI_Migrate) and registers the arrival. The
+// runtime resumes it — possibly on a different PE — after the plan is
+// applied. A gate sends no messages and never touches vt, so predicted
+// time stays bit-identical with and without migration.
+func (e *eventEngine) lbpoint(pc *PC) bool {
+	e.store()[pc.rank].atGate = true
 	pc.job.gateArrive()
+	return false
 }
 
 // ---------------------------------------------------------------
@@ -589,10 +583,10 @@ func (rec eventRecord) Install(data []byte) error {
 }
 
 // pupLocked packs or unpacks the rank's migratable state; er.mu held.
-// kont/lbKont (closures over the shared program tree) and pc.Local
-// travel by reference — they are reachable state, not wire bytes; the
-// wire image is what a distributed implementation would send, and its
-// size is what the migration benchmarks report.
+// The frame stack (positions in the shared program tree), collective
+// slots and pc.Local travel by reference — they are reachable state,
+// not wire bytes; the wire image is what a distributed implementation
+// would send, and its size is what the migration benchmarks report.
 func (er *eventRank) pupLocked(p *pup.PUPer) error {
 	rank := uint64(er.pc.rank)
 	if err := p.Uint64(&rank); err != nil {
@@ -743,34 +737,34 @@ func (e *eventEngine) resumeGate() {
 	e.bootstrap(func(r int) bool {
 		er := &ranks[r]
 		er.mu.Lock()
-		parked := er.lbKont != nil
+		parked := er.atGate
 		er.mu.Unlock()
 		return parked
 	}, e.dispatchResume)
 }
 
-// dispatchResume runs rank r's gate continuation under its lock.
+// dispatchResume resumes rank r past its gate under its lock.
 func (e *eventEngine) dispatchResume(r int) {
 	er := &e.store()[r]
 	er.mu.Lock()
 	defer er.mu.Unlock()
-	k := er.lbKont
-	if k == nil {
+	if !er.atGate {
 		return
 	}
-	er.lbKont = nil
+	er.atGate = false
 	er.seq++
 	p := e.peOf(r)
 	e.job.m.PE(p).Clock.Advance(e.dispatchNs(p))
-	er.tramp.Schedule(k)
-	er.tramp.Drain()
+	if er.pc.exec(nil) {
+		e.finish(r)
+	}
 }
 
 // ---------------------------------------------------------------
 // Completion
 
-// finish retires rank r: its slot's buffers, continuation, and
-// program state are released immediately, and its directory entry
+// finish retires rank r: its slot's buffers, frames, and program
+// state are released immediately, and its directory entry
 // joins the owning PE's batched deregistration — so a completed
 // million-rank job walks the Machine back to its idle footprint.
 // Called with er.mu held (from within the rank's final activation).
@@ -778,8 +772,8 @@ func (e *eventEngine) finish(r int) {
 	er := &e.store()[r]
 	er.done = true
 	er.mbox, er.head = nil, 0
-	er.kont, er.hasWait = nil, false
-	er.lbKont = nil
+	er.hasWait, er.atGate = false, false
+	er.pc.frames, er.pc.reqs, er.pc.colls = nil, nil, nil
 	er.pc.Local = nil
 	er.sendSeq, er.recvSeq, er.held = nil, nil, nil
 	if e.sharded {

@@ -159,8 +159,10 @@ type jacobiState struct {
 }
 
 // JacobiProgram builds the shared step-body program. iters and the
-// exchange/relax/reduce structure are identical for every rank; the
-// per-rank neighbours come from Call.
+// exchange/relax/reduce structure are identical for every rank, and
+// the per-rank neighbours are rank-relative (RecvFrom), so every
+// statement is built once per program — no per-rank, per-iteration
+// tree.
 func JacobiProgram(cfg JacobiConfig) Proc {
 	pack := func(v float64) []byte {
 		b := make([]byte, cfg.HaloBytes)
@@ -186,9 +188,9 @@ func JacobiProgram(cfg JacobiConfig) Proc {
 	}
 	sendHalos := Do(func(pc *PC) {
 		n := pc.Size()
-		st := pc.Local.(*jacobiState)
-		pc.Send((pc.rank-1+n)%n, tagHaloLeft, pack(st.x))
-		pc.Send((pc.rank+1)%n, tagHaloRight, pack(st.x))
+		halo := pack(pc.Local.(*jacobiState).x) // read-only: one buffer serves both sends
+		pc.Send((pc.rank-1+n)%n, tagHaloLeft, halo)
+		pc.Send((pc.rank+1)%n, tagHaloRight, halo)
 	})
 	relax := func(pc *PC) {
 		st := pc.Local.(*jacobiState)
@@ -196,50 +198,63 @@ func JacobiProgram(cfg JacobiConfig) Proc {
 		st.resid = math.Abs(next - st.x)
 		st.x = next
 	}
+	// The message my right neighbour sent "toward the left" is mine,
+	// and symmetrically for the left.
+	recvRight := RecvFrom(func(pc *PC) int { return (pc.rank + 1) % pc.Size() }, tagHaloLeft,
+		func(pc *PC, data []byte, _ int) { pc.Local.(*jacobiState).right = f64(data) })
+	recvLeft := RecvFrom(func(pc *PC) int { return (pc.rank - 1 + pc.Size()) % pc.Size() }, tagHaloRight,
+		func(pc *PC, data []byte, _ int) { pc.Local.(*jacobiState).left = f64(data) })
+	work := Do(func(pc *PC) { pc.Work(workOf(pc)) })
+	relaxWork := Do(func(pc *PC) {
+		relax(pc)
+		pc.Work(workOf(pc))
+	})
+	var allreduce Proc
+	if cfg.ReduceEvery > 0 && !cfg.Overlap {
+		allreduce = Allreduce("max",
+			func(pc *PC) float64 { return pc.Local.(*jacobiState).resid },
+			func(pc *PC, v float64) { pc.Local.(*jacobiState).global = v })
+	}
+	var migrate Proc
+	if cfg.MigrateAt > 0 {
+		migrate = Migrate(cfg.LB)
+	}
+	// Iterations differ only in which optional statements they carry,
+	// so step returns one of a few shared statements, memoized by that
+	// shape.
+	shapes := map[[3]bool]Proc{}
 	step := func(i int) Proc {
-		return Call(func(pc *PC) Proc {
-			n := pc.Size()
-			left := (pc.rank - 1 + n) % n
-			right := (pc.rank + 1) % n
-			// The message my right neighbour sent "toward the left"
-			// is mine, and symmetrically for the left.
-			recvRight := Recv(right, tagHaloLeft, func(pc *PC, data []byte, _ int) {
-				pc.Local.(*jacobiState).right = f64(data)
-			})
-			recvLeft := Recv(left, tagHaloRight, func(pc *PC, data []byte, _ int) {
-				pc.Local.(*jacobiState).left = f64(data)
-			})
-			reduceNow := cfg.ReduceEvery > 0 && (i+1)%cfg.ReduceEvery == 0
-			var ps []Proc
-			if cfg.Overlap {
-				// Split-phase: halos fly while this iteration's work
-				// runs; the previous iteration's reduction (if any)
-				// completes under that work too.
-				ps = append(ps, sendHalos, Do(func(pc *PC) { pc.Work(workOf(pc)) }))
-				if cfg.ReduceEvery > 0 && i > 0 && i%cfg.ReduceEvery == 0 {
-					ps = append(ps, arWait)
-				}
-				ps = append(ps, recvRight, recvLeft, Do(relax))
-				if reduceNow {
-					ps = append(ps, arStart)
-				}
-			} else {
-				ps = append(ps, sendHalos, recvRight, recvLeft,
-					Do(func(pc *PC) {
-						relax(pc)
-						pc.Work(workOf(pc))
-					}))
-				if reduceNow {
-					ps = append(ps, Allreduce("max",
-						func(pc *PC) float64 { return pc.Local.(*jacobiState).resid },
-						func(pc *PC, v float64) { pc.Local.(*jacobiState).global = v }))
-				}
+		reduceNow := cfg.ReduceEvery > 0 && (i+1)%cfg.ReduceEvery == 0
+		collect := cfg.Overlap && cfg.ReduceEvery > 0 && i > 0 && i%cfg.ReduceEvery == 0
+		gate := cfg.MigrateAt > 0 && i+1 == cfg.MigrateAt
+		shape := [3]bool{reduceNow, collect, gate}
+		if p, ok := shapes[shape]; ok {
+			return p
+		}
+		var ps []Proc
+		if cfg.Overlap {
+			// Split-phase: halos fly while this iteration's work runs;
+			// the previous iteration's reduction (if any) completes
+			// under that work too.
+			ps = append(ps, sendHalos, work)
+			if collect {
+				ps = append(ps, arWait)
 			}
-			if cfg.MigrateAt > 0 && i+1 == cfg.MigrateAt {
-				ps = append(ps, Migrate(cfg.LB))
+			ps = append(ps, recvRight, recvLeft, Do(relax))
+			if reduceNow {
+				ps = append(ps, arStart)
 			}
-			return Seq(ps...)
-		})
+		} else {
+			ps = append(ps, sendHalos, recvRight, recvLeft, relaxWork)
+			if reduceNow {
+				ps = append(ps, allreduce)
+			}
+		}
+		if gate {
+			ps = append(ps, migrate)
+		}
+		shapes[shape] = Seq(ps...)
+		return shapes[shape]
 	}
 	body := []Proc{
 		Do(func(pc *PC) {

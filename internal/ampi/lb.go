@@ -126,8 +126,8 @@ func (j *Job) Rebalance(strategy loadbalance.Strategy) (int, error) {
 // rank's accumulated busy time (under its lock), plan, then commit —
 // ONE comm range-table batch (a single epoch bump re-arms the
 // deliver-side owner check), the engine's owner words and dispatch
-// charges, and one MigrateMany batch of ~180-byte continuation
-// records. The records' PUP round trips and network charges go
+// charges, and one MigrateMany batch of continuation records (57 B
+// each with an empty mailbox). The records' PUP round trips and network charges go
 // through exactly the machinery a thread move uses, minus eviction,
 // vmem imaging, and adoption.
 func (j *Job) rebalanceEvent(strategy loadbalance.Strategy) (int, error) {

@@ -98,11 +98,13 @@ func (r *Rank) Waitall(qs []*Request) error {
 // operation's result is in Value (reductions), Data (Bcast), or
 // Parts (Gather, root only).
 type CollRequest struct {
-	r      *Rank
-	acts   []collAct
-	next   int
-	finish func()
-	done   bool
+	r       *Rank
+	acts    []collAct
+	next    int
+	st      collState
+	combine func(a, b float64) float64
+	finish  func()
+	done    bool
 
 	Value float64  // Iallreduce / Ireduce (root) result
 	Data  []byte   // Ibcast result
@@ -110,15 +112,10 @@ type CollRequest struct {
 }
 
 // startColl builds the request and runs the schedule's leading sends.
-func (r *Rank) startColl(acts []collAct, finish func()) (*CollRequest, error) {
-	q := &CollRequest{r: r, acts: acts, finish: finish}
-	for q.next < len(acts) && acts[q.next].send {
-		a := acts[q.next]
-		var payload []byte
-		if a.data != nil {
-			payload = a.data()
-		}
-		if err := r.sendEdge(a.peer, a.tag, payload); err != nil {
+func (r *Rank) startColl(q *CollRequest) (*CollRequest, error) {
+	q.r = r
+	for q.next < len(q.acts) && q.acts[q.next].send {
+		if err := r.doAct(q.acts[q.next], &q.st, q.combine); err != nil {
 			return nil, err
 		}
 		q.next++
@@ -134,22 +131,8 @@ func (q *CollRequest) Wait() error {
 		return nil
 	}
 	for q.next < len(q.acts) {
-		a := q.acts[q.next]
-		if a.send {
-			var payload []byte
-			if a.data != nil {
-				payload = a.data()
-			}
-			if err := q.r.sendEdge(a.peer, a.tag, payload); err != nil {
-				return err
-			}
-		} else {
-			m := q.r.recv(a.peer, a.tag)
-			if a.on != nil {
-				if err := a.on(m.Data); err != nil {
-					return err
-				}
-			}
+		if err := q.r.doAct(q.acts[q.next], &q.st, q.combine); err != nil {
+			return err
 		}
 		q.next++
 	}
@@ -167,7 +150,7 @@ func (q *CollRequest) Done() bool { return q.done }
 // has entered it.
 func (r *Rank) Ibarrier() (*CollRequest, error) {
 	parent, children := r.family(0)
-	return r.startColl(barrierActs(parent, children), nil)
+	return r.startColl(&CollRequest{acts: barrierActs(nil, parent, children)})
 }
 
 // Iallreduce starts a nonblocking Allreduce of v under op ("sum",
@@ -178,11 +161,9 @@ func (r *Rank) Iallreduce(op string, v float64) (*CollRequest, error) {
 		return nil, err
 	}
 	parent, children := r.family(0)
-	acc := new(float64)
-	*acc = v
-	var q *CollRequest
-	q, err = r.startColl(allreduceActs(parent, children, acc, combine), func() { q.Value = *acc })
-	return q, err
+	q := &CollRequest{acts: allreduceActs(nil, parent, children), st: collState{acc: v}, combine: combine}
+	q.finish = func() { q.Value = q.st.acc }
+	return r.startColl(q)
 }
 
 // Ireduce starts a nonblocking Reduce at root; Wait fills Value on
@@ -196,15 +177,11 @@ func (r *Rank) Ireduce(root int, op string, v float64) (*CollRequest, error) {
 		return nil, fmt.Errorf("ampi: Ireduce root %d of %d", root, len(r.job.ranks))
 	}
 	parent, children := r.family(root)
-	acc := new(float64)
-	*acc = v
-	var q *CollRequest
-	q, err = r.startColl(reduceActs(parent, children, acc, combine), func() {
-		if parent < 0 {
-			q.Value = *acc
-		}
-	})
-	return q, err
+	q := &CollRequest{acts: reduceActs(nil, parent, children), st: collState{acc: v}, combine: combine}
+	if parent < 0 {
+		q.finish = func() { q.Value = q.st.acc }
+	}
+	return r.startColl(q)
 }
 
 // Ibcast starts a nonblocking broadcast of root's data; Wait fills
@@ -214,11 +191,9 @@ func (r *Rank) Ibcast(root int, data []byte) (*CollRequest, error) {
 		return nil, fmt.Errorf("ampi: Ibcast root %d of %d", root, len(r.job.ranks))
 	}
 	parent, children := r.family(root)
-	buf := new([]byte)
-	*buf = data
-	var q *CollRequest
-	q, err := r.startColl(bcastActs(parent, children, buf), func() { q.Data = *buf })
-	return q, err
+	q := &CollRequest{acts: bcastActs(nil, parent, children), st: collState{data: data}}
+	q.finish = func() { q.Data = q.st.data }
+	return r.startColl(q)
 }
 
 // Igather starts a nonblocking Gather at root; Wait fills Parts
@@ -228,16 +203,9 @@ func (r *Rank) Igather(root int, data []byte) (*CollRequest, error) {
 		return nil, fmt.Errorf("ampi: Igather root %d of %d", root, len(r.job.ranks))
 	}
 	parent, children := r.family(root)
-	entries := &[]gatherEntry{{rank: r.rank, data: data}}
-	var q *CollRequest
-	q, err := r.startColl(gatherActs(parent, children, entries, len(r.job.ranks)), func() {
-		if parent < 0 {
-			out := make([][]byte, len(r.job.ranks))
-			for _, e := range *entries {
-				out[e.rank] = e.data
-			}
-			q.Parts = out
-		}
-	})
-	return q, err
+	q := &CollRequest{acts: gatherActs(nil, parent, children), st: collState{entries: []gatherEntry{{rank: r.rank, data: data}}}}
+	if parent < 0 {
+		q.finish = func() { q.Parts = gatherParts(q.st.entries, len(r.job.ranks)) }
+	}
+	return r.startColl(q)
 }

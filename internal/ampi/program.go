@@ -12,9 +12,16 @@ package ampi
 //     API, and each activation pays the platform's thread-switch
 //     curve.
 //   - ModeEvent: each rank is a small state struct in a contiguous
-//     per-job store (event.go); every blocking point stores a
-//     continuation and returns to the owning PE's loop, and each
-//     activation pays the (much cheaper) EventDispatch curve.
+//     per-job store (event.go); every blocking point parks the rank
+//     and returns to the owning PE's loop, and each activation pays
+//     the (much cheaper) EventDispatch curve.
+//
+// A continuation is data, not a closure: a rank's position in the
+// shared tree is a stack of frames, one (node, index) pair per active
+// statement from the root down to the statement running or parked
+// now. One loop, PC.exec, advances that stack for both backends; a
+// parked event rank holds its frames and nothing else, and resuming
+// it is exec again with the matching message.
 //
 // Because all communication, computation, and virtual-time accounting
 // live in this shared layer, a program's predicted virtual time (VT)
@@ -30,36 +37,38 @@ import (
 	"migflow/internal/converse"
 	"migflow/internal/core"
 	"migflow/internal/loadbalance"
-	"migflow/internal/sdag"
 	"migflow/internal/vmem"
 )
 
-// Proc is one statement of a continuation program. Implementations
-// run by either completing inline and invoking k, or storing k (via
-// the backend) to be resumed by a message.
-type Proc interface {
-	run(pc *PC, k func())
-}
+// Proc is one statement of a continuation program: a node of the
+// immutable tree every rank of a job shares. Nodes hold no per-rank
+// state — a rank's progress through the tree lives in its frames.
+type Proc interface{ isProc() }
 
-// backend is what a Proc needs from the flow-of-control mechanism
-// behind a rank. Exactly two implementations exist: ultBE (thread
-// blocks) and *eventEngine (continuation parks).
+// backend is what the interpreter needs from the flow-of-control
+// mechanism behind a rank. Exactly two implementations exist: ultBE
+// (thread blocks) and *eventEngine (rank parks).
 type backend interface {
 	// send transmits data to dest, stamping pc.vt into the message's
 	// VTime and charging the simulating PE's clock for send overhead.
 	send(pc *PC, dest, tag int, data []byte)
-	// recv arranges for k to run with the oldest message matching
-	// (src, tag), suspending the flow if none is buffered, and
-	// synchronizes the simulating PE clock with the message's arrival.
-	recv(pc *PC, src, tag int, k func(*comm.Message))
+	// recv returns the oldest message matching (src, tag), and
+	// synchronizes the simulating PE clock with its arrival. The ULT
+	// backend blocks the thread until one arrives; the event backend
+	// returns nil when none is buffered, leaving the rank parked on
+	// the spec — delivery later resumes exec with the match.
+	recv(pc *PC, src, tag int) *comm.Message
 	// work charges ns nanoseconds of computation to the simulating PE.
 	work(pc *PC, ns float64)
 	// pe reports which simulating PE the rank currently runs on —
 	// placement-dependent by design (per-PE makespan accounting).
 	pe(pc *PC) int
-	// lbpoint parks the flow at the job's collective LB gate; the
-	// runtime resumes k after the rebalance, possibly on another PE.
-	lbpoint(pc *PC, k func())
+	// lbpoint registers the rank at the job's collective LB gate. The
+	// ULT backend suspends the thread until the rebalance is done and
+	// returns true; the event backend parks the rank and returns
+	// false — the runtime resumes it after the rebalance, possibly on
+	// another PE.
+	lbpoint(pc *PC) bool
 	// usestack models per-rank live frames: ULT ranks push and dirty
 	// a frame of n bytes (which every later migration must carry);
 	// event ranks have no stack, so it is a no-op — the asymmetry the
@@ -68,9 +77,10 @@ type backend interface {
 }
 
 // PC is one rank's program context: its identity, its predicted
-// virtual time, and its backend. Program callbacks receive the PC and
-// may call its Send/Work/Isend/Irecv methods; blocking is expressed
-// only through Proc combinators, never by a callback that waits.
+// virtual time, its position in the program, and its backend. Program
+// callbacks receive the PC and may call its Send/Work/Isend/Irecv
+// methods; blocking is expressed only through Proc combinators, never
+// by a callback that waits.
 type PC struct {
 	job  *Job
 	rank int
@@ -87,77 +97,146 @@ type PC struct {
 	// completes.
 	Local any
 
-	// colls holds the rank's in-flight nonblocking collectives, keyed
-	// by their program-tree site (collDef). Like Local it rides the
-	// rank's slot by reference, so an outstanding collective survives
-	// migration between its start and wait halves.
-	colls map[*collDef]*collRun
+	be backend
 
-	be    backend
-	tramp *sdag.Tramp
+	// frames is the rank's continuation: frames[0] is the program
+	// root, the top frame the statement running or parked now. Nil
+	// before the rank starts and after it finishes.
+	frames []frame
 
-	// path, when non-nil, tracks the rank's structural position in the
-	// shared program tree: one frame per enclosing Seq/For giving the
-	// current statement/iteration index. Cross-process migration ships
-	// it so the destination can re-seek the blocked continuation by
-	// re-descending the (identical) tree — closures don't cross a
-	// process boundary, tree coordinates do. Nil (the default) costs
-	// one nil check per structural node; sharded event jobs enable it.
-	path []int32
+	// reqs holds the requests of the Waitall at the top of the stack
+	// (a leaf, so at most one is active).
+	reqs []*Req
 
-	// seek/seekPos replay a shipped path during a reseek descent:
-	// every Seq/For consumes one frame to jump straight to the blocked
-	// statement without re-running completed ones. Exhausted (or nil)
-	// outside a reseek.
-	seek    []int32
-	seekPos int
-
-	// blockKind records which combinator parked the rank (only
-	// maintained when path tracking is on): cross-process migration is
-	// supported at a plain Recv, whose spec the record carries; a
-	// collective wait or Waitall holds closure state that cannot be
-	// re-derived from tree coordinates alone.
-	blockKind uint8
+	// colls holds the rank's collective runs, one slot per site in
+	// flight. Slots (and their schedule buffers) are reused from one
+	// execution to the next, and, like Local, they ride the rank's
+	// slot, so an outstanding nonblocking collective survives
+	// in-process migration between its start and wait halves.
+	colls []collRun
 }
 
-// blockKind values.
-const (
-	blockNone uint8 = iota
-	blockRecv
-	blockColl
-	blockWaitall
-)
+// frame is one active statement: node, plus a position whose meaning
+// depends on the node — the running child of a Seq, the iteration of
+// a For, 1 + the request a Waitall is on, or whether a Migrate gate
+// has been entered.
+type frame struct {
+	node Proc
+	i    int
+}
 
-// pathPush opens a structural frame (Seq/For entry).
-func (pc *PC) pathPush() {
-	if pc.path != nil {
-		pc.path = append(pc.path, 0)
+// push opens a frame for node on top of the stack.
+func (pc *PC) push(node Proc) { pc.frames = append(pc.frames, frame{node: node}) }
+
+// pop completes the top frame and advances its parent past it.
+func (pc *PC) pop() {
+	n := len(pc.frames) - 1
+	pc.frames[n] = frame{} // drop the node: Call-generated subtrees are per-rank garbage
+	pc.frames = pc.frames[:n]
+	if n > 0 {
+		pc.frames[n-1].i++
 	}
 }
 
-// pathSet updates the innermost frame's index.
-func (pc *PC) pathSet(v int32) {
-	if pc.path != nil {
-		pc.path[len(pc.path)-1] = v
-	}
+// start sets the rank's continuation to the beginning of the program.
+func (pc *PC) start() {
+	pc.frames = make([]frame, 0, pc.job.depth)
+	pc.push(pc.job.prog)
 }
 
-// pathPop closes the innermost frame (Seq/For completion).
-func (pc *PC) pathPop() {
-	if pc.path != nil {
-		pc.path = pc.path[:len(pc.path)-1]
+// exec is the interpreter: it advances the rank's frame stack until
+// the rank parks at a blocking point (false) or its program completes
+// (true). msg, when non-nil, is the message matching the receive the
+// top frame is parked on. Send, consume and work happen at exactly the
+// points (and in the order) the statements name, whichever backend
+// runs the rank — the source of cross-mode VT equality.
+func (pc *PC) exec(msg *comm.Message) bool {
+	for n := len(pc.frames); n > 0; n = len(pc.frames) {
+		f := &pc.frames[n-1]
+		switch p := f.node.(type) {
+		case *seqProc:
+			if f.i == len(p.ps) {
+				pc.pop()
+				continue
+			}
+			pc.push(p.ps[f.i])
+		case *forProc:
+			if f.i == len(p.bodies) {
+				pc.pop()
+				continue
+			}
+			pc.push(p.bodies[f.i])
+		case doProc:
+			p.fn(pc)
+			pc.pop()
+		case callProc:
+			f.node = p.gen(pc)
+		case *recvProc:
+			if msg == nil {
+				if msg = pc.be.recv(pc, p.source(pc), p.tag); msg == nil {
+					return false
+				}
+			}
+			pc.consume(msg)
+			if p.then != nil {
+				p.then(pc, msg.Data, pc.job.senderOf(msg.From))
+			}
+			msg = nil
+			pc.pop()
+		case waitallProc:
+			if f.i == 0 {
+				pc.reqs, f.i = p.reqs(pc), 1
+			}
+			for ; f.i <= len(pc.reqs); f.i++ {
+				q := pc.reqs[f.i-1]
+				if q == nil || q.done || !q.isRecv {
+					continue
+				}
+				if msg == nil {
+					if msg = pc.be.recv(pc, q.src, q.tag); msg == nil {
+						return false
+					}
+				}
+				pc.consume(msg)
+				q.done, q.Data, q.From = true, msg.Data, pc.job.senderOf(msg.From)
+				msg = nil
+			}
+			pc.reqs = nil
+			pc.pop()
+		case collStartProc:
+			pc.startColl(p.d)
+			pc.pop()
+		case collWaitProc:
+			if !pc.waitColl(p.d, msg) {
+				return false
+			}
+			msg = nil
+			pc.pop()
+		case migrateProc:
+			if f.i == 0 {
+				f.i = 1
+				pc.job.gateSetStrategy(p.strategy)
+				if !pc.be.lbpoint(pc) {
+					return false
+				}
+			}
+			pc.pop()
+		default:
+			panic(fmt.Sprintf("ampi: rank %d: unknown program statement %T", pc.rank, f.node))
+		}
 	}
+	return true
 }
 
-// seekFrame consumes one replay frame during a reseek descent, or
-// returns 0 (start from the beginning) when not seeking.
-func (pc *PC) seekFrame() int {
-	if pc.seekPos < len(pc.seek) {
-		v := pc.seek[pc.seekPos]
-		pc.seekPos++
-		return int(v)
+// parkedAtRecv reports whether the rank is parked at a plain Recv —
+// the only blocking point whose continuation its tree path alone
+// rebuilds (cross-process migration, shard.go).
+func (pc *PC) parkedAtRecv() bool {
+	if len(pc.frames) == 0 {
+		return false
 	}
-	return 0
+	_, ok := pc.frames[len(pc.frames)-1].node.(*recvProc)
+	return ok
 }
 
 // Rank returns the rank number.
@@ -281,124 +360,74 @@ type doProc struct{ fn func(*PC) }
 // sdag.Atomic.
 func Do(fn func(*PC)) Proc { return doProc{fn} }
 
-func (p doProc) run(pc *PC, k func()) {
-	p.fn(pc)
-	k()
-}
-
 type seqProc struct{ ps []Proc }
 
 // Seq runs statements in order, each starting when its predecessor
 // completes.
-func Seq(ps ...Proc) Proc { return seqProc{ps} }
+func Seq(ps ...Proc) Proc { return &seqProc{ps} }
 
-func (s seqProc) run(pc *PC, k func()) {
-	pc.pathPush()
-	var step func(i int)
-	step = func(i int) {
-		if i >= len(s.ps) {
-			pc.pathPop()
-			k()
-			return
-		}
-		pc.pathSet(int32(i))
-		s.ps[i].run(pc, func() {
-			pc.tramp.Schedule(func() { step(i + 1) })
-		})
-	}
-	step(pc.seekFrame())
-}
-
-type forProc struct {
-	n    int
-	body func(i int) Proc
-}
+type forProc struct{ bodies []Proc }
 
 // For runs body(0) … body(n-1) in sequence — the outer iteration loop
-// of a stencil program. The loop backedge goes through the rank's
-// trampoline, so deep iteration counts cost no stack.
-func For(n int, body func(i int) Proc) Proc { return forProc{n, body} }
-
-func (f forProc) run(pc *PC, k func()) {
-	pc.pathPush()
-	var iter func(i int)
-	iter = func(i int) {
-		if i >= f.n {
-			pc.pathPop()
-			k()
-			return
-		}
-		pc.pathSet(int32(i))
-		f.body(i).run(pc, func() {
-			pc.tramp.Schedule(func() { iter(i + 1) })
-		})
+// of a stencil program. For calls body once per iteration index, when
+// the program is built, and every rank and every execution shares the
+// statements it returns — so body must depend only on i.
+// Rank-dependent structure belongs in Call, or in rank-relative
+// statements such as RecvFrom.
+func For(n int, body func(i int) Proc) Proc {
+	f := &forProc{bodies: make([]Proc, max(n, 0))}
+	for i := range f.bodies {
+		f.bodies[i] = body(i)
 	}
-	iter(pc.seekFrame())
+	return f
 }
 
 type callProc struct{ gen func(*PC) Proc }
 
 // Call generates a statement per rank at run time — how one shared
-// program expresses rank-dependent structure (a tree collective's
-// node has its own parent and children; closures generated here carry
-// per-execution state safely).
+// program expresses genuinely dynamic structure (a variable receive
+// list, a root/non-root split; closures generated here carry
+// per-execution state safely). Each execution calls gen again, so
+// prefer static statements (RecvFrom, the collectives) on hot paths.
 func Call(gen func(*PC) Proc) Proc { return callProc{gen} }
 
-func (c callProc) run(pc *PC, k func()) {
-	c.gen(pc).run(pc, k)
+type recvProc struct {
+	src   int
+	srcOf func(*PC) int // rank-relative source (RecvFrom); nil = src
+	tag   int
+	then  func(pc *PC, data []byte, from int)
 }
 
-type recvProc struct {
-	src, tag int
-	then     func(pc *PC, data []byte, from int)
+// source resolves the receive's source rank for pc.
+func (r *recvProc) source(pc *PC) int {
+	if r.srcOf != nil {
+		return r.srcOf(pc)
+	}
+	return r.src
 }
 
 // Recv blocks until a message from src (or AnySource) with tag (or
 // AnyTag) arrives, applies the receive cost model, and runs then (if
 // non-nil) with the payload and sender rank.
 func Recv(src, tag int, then func(pc *PC, data []byte, from int)) Proc {
-	return recvProc{src: src, tag: tag, then: then}
+	return &recvProc{src: src, tag: tag, then: then}
 }
 
-func (r recvProc) run(pc *PC, k func()) {
-	pc.blockKind = blockRecv
-	pc.be.recv(pc, r.src, r.tag, func(m *comm.Message) {
-		pc.consume(m)
-		if r.then != nil {
-			r.then(pc, m.Data, pc.job.senderOf(m.From))
-		}
-		k()
-	})
+// RecvFrom is Recv with a rank-relative source: src(pc) names the
+// sender (or AnySource) each time the statement runs. It lets one
+// shared statement express "my left neighbour" without a per-rank
+// Call.
+func RecvFrom(src func(*PC) int, tag int, then func(pc *PC, data []byte, from int)) Proc {
+	return &recvProc{srcOf: src, tag: tag, then: then}
 }
 
 type waitallProc struct{ reqs func(*PC) []*Req }
 
 // Waitall completes every request returned by reqs, in order (like
 // the thread API's Waitall): pending receives block and fill their
-// Data/From; nil or completed entries are skipped.
+// Data/From; nil or completed entries are skipped. reqs is called once
+// per execution, when the statement starts.
 func Waitall(reqs func(*PC) []*Req) Proc { return waitallProc{reqs} }
-
-func (wp waitallProc) run(pc *PC, k func()) {
-	rs := wp.reqs(pc)
-	var step func(i int)
-	step = func(i int) {
-		for i < len(rs) && (rs[i] == nil || rs[i].done || !rs[i].isRecv) {
-			i++
-		}
-		if i >= len(rs) {
-			k()
-			return
-		}
-		q := rs[i]
-		pc.blockKind = blockWaitall
-		pc.be.recv(pc, q.src, q.tag, func(m *comm.Message) {
-			pc.consume(m)
-			q.done, q.Data, q.From = true, m.Data, pc.job.senderOf(m.From)
-			pc.tramp.Schedule(func() { step(i + 1) })
-		})
-	}
-	step(0)
-}
 
 type migrateProc struct{ strategy loadbalance.Strategy }
 
@@ -407,11 +436,10 @@ type migrateProc struct{ strategy loadbalance.Strategy }
 // some rank exits first deadlocks, as in MPI). When the last rank
 // arrives the runtime — the Run/RunParallel driver, at quiescence —
 // measures per-rank loads, plans with strategy, moves ULT ranks as
-// threads and event ranks as ~180-byte continuation records through
-// the same core.Machine.MigrateMany batch, and resumes every rank on
-// its assigned PE. The gate sends no messages and never advances vt,
-// so predicted time stays bit-identical whether or not anything
-// moved.
+// threads and event ranks as continuation records through the same
+// core.Machine.MigrateMany batch, and resumes every rank on its
+// assigned PE. The gate sends no messages and never advances vt, so
+// predicted time stays bit-identical whether or not anything moved.
 func Migrate(strategy loadbalance.Strategy) Proc {
 	if strategy == nil {
 		panic("ampi: Migrate: nil strategy")
@@ -419,10 +447,15 @@ func Migrate(strategy loadbalance.Strategy) Proc {
 	return migrateProc{strategy}
 }
 
-func (mp migrateProc) run(pc *PC, k func()) {
-	pc.job.gateSetStrategy(mp.strategy)
-	pc.be.lbpoint(pc, k)
-}
+func (doProc) isProc()        {}
+func (*seqProc) isProc()      {}
+func (*forProc) isProc()      {}
+func (callProc) isProc()      {}
+func (*recvProc) isProc()     {}
+func (waitallProc) isProc()   {}
+func (migrateProc) isProc()   {}
+func (collStartProc) isProc() {}
+func (collWaitProc) isProc()  {}
 
 // Sendrecv is the halo-exchange primitive: an eager send followed by
 // a blocking receive (deadlock-free for rings and pairs).
@@ -431,6 +464,34 @@ func Sendrecv(dest, sendTag int, data func(*PC) []byte, src, recvTag int, then f
 		Do(func(pc *PC) { pc.Send(dest, sendTag, data(pc)) }),
 		Recv(src, recvTag, then),
 	)
+}
+
+// depth returns the depth of a program's static tree, which sizes
+// each rank's frame stack. Subtrees a Call generates are not visible
+// here; their frames grow the stack on demand. memo holds the depth
+// of Seq and For nodes already walked, so shared subtrees are walked
+// once.
+func depth(p Proc, memo map[Proc]int) int {
+	var kids []Proc
+	switch n := p.(type) {
+	case *seqProc:
+		kids = n.ps
+	case *forProc:
+		kids = n.bodies
+	case callProc:
+		return 2 // the generated statement plus one level below it
+	default:
+		return 1
+	}
+	if d, ok := memo[p]; ok {
+		return d
+	}
+	d := 0
+	for _, c := range kids {
+		d = max(d, depth(c, memo))
+	}
+	memo[p] = d + 1
+	return d + 1
 }
 
 // ---------------------------------------------------------------
@@ -443,15 +504,7 @@ func Sendrecv(dest, sendTag int, data func(*PC) []byte, src, recvTag int, then f
 // CollFlat selects the paper-era flat topology; the program variant
 // receives from specific sources in rank order (deterministic by
 // construction, unlike the thread API's AnySource flat loops).
-
-// family returns pc's parent and children in the job's collective
-// topology rooted at root: the k-ary tree for CollTree, the
-// topology-aware tree for CollTopoTree, or the one-level star for
-// CollFlat.
-func family(pc *PC, root int) (parent int, children []int) {
-	return collFamily(pc.rank, pc.Size(), &pc.job.opts, root)
-}
-
+//
 // Every collective executes a collective schedule (tree.go): a fixed
 // per-rank sequence of tree-edge sends and receives. The blocking
 // form is literally its nonblocking start half followed immediately
@@ -468,180 +521,217 @@ func family(pc *PC, root int) (parent int, children []int) {
 // consume the in-flight contributions. Different kinds interleave
 // freely.
 
-// collDef identifies one collective site in the program tree. Each
-// rank keys its in-flight run state by the site, so one shared
-// definition serves every rank and every loop iteration.
-type collDef struct{ name string }
+// collKind selects a collective's schedule and result delivery.
+type collKind uint8
 
-// collRun is one rank's in-flight collective: the schedule, the
-// cursor, and the completion callback.
+const (
+	collBarrier collKind = iota
+	collReduce
+	collAllreduce
+	collBcast
+	collGather
+)
+
+// collDef is one collective site in the program tree: its kind, root,
+// and the program's callbacks. One shared definition serves every rank
+// and every loop iteration; a rank's in-flight state for it is a
+// collRun slot.
+type collDef struct {
+	name    string
+	kind    collKind
+	root    int
+	combine func(a, b float64) float64
+	valF    func(*PC) float64   // Reduce/Allreduce contribution
+	valB    func(*PC) []byte    // Bcast root data / Gather contribution
+	thenF   func(*PC, float64)  // Reduce (root) / Allreduce result
+	thenB   func(*PC, []byte)   // Bcast result
+	thenG   func(*PC, [][]byte) // Gather result (root)
+}
+
+// collRun is one rank's execution of a collective site: the schedule,
+// the cursor, and the accumulator. def is nil while the slot is free;
+// the buffers survive for the next execution.
 type collRun struct {
+	def    *collDef
 	acts   []collAct
 	next   int
-	finish func(*PC)
+	parent int
+	st     collState
+}
+
+type collStartProc struct{ d *collDef }
+
+type collWaitProc struct{ d *collDef }
+
+// runOf returns the rank's in-flight run of site d, or nil.
+func (pc *PC) runOf(d *collDef) *collRun {
+	for i := range pc.colls {
+		if pc.colls[i].def == d {
+			return &pc.colls[i]
+		}
+	}
+	return nil
+}
+
+// collsInFlight reports whether any collective is between its start
+// and its wait.
+func (pc *PC) collsInFlight() bool {
+	for i := range pc.colls {
+		if pc.colls[i].def != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// startColl claims a slot for site d, builds the rank's schedule into
+// it, and fires the leading sends — with eager buffering the rank's
+// contribution is in flight before the start statement completes.
+func (pc *PC) startColl(d *collDef) {
+	if pc.runOf(d) != nil {
+		panic(fmt.Sprintf("ampi: rank %d: %s started again before its wait completed", pc.rank, d.name))
+	}
+	run := pc.runOf(nil)
+	if run == nil {
+		pc.colls = append(pc.colls, collRun{})
+		run = &pc.colls[len(pc.colls)-1]
+	}
+	var kids [8]int
+	parent, children := collFamily(pc.rank, pc.Size(), &pc.job.opts, d.root, kids[:0])
+	run.def, run.next, run.parent = d, 0, parent
+	run.st = collState{entries: run.st.entries[:0]}
+	acts := run.acts[:0]
+	if need := 2*len(children) + 2; cap(acts) < need {
+		acts = make([]collAct, 0, need) // every schedule fits; reused from here on
+	}
+	switch d.kind {
+	case collBarrier:
+		acts = barrierActs(acts, parent, children)
+	case collReduce:
+		run.st.acc = d.valF(pc)
+		acts = reduceActs(acts, parent, children)
+	case collAllreduce:
+		run.st.acc = d.valF(pc)
+		acts = allreduceActs(acts, parent, children)
+	case collBcast:
+		if parent < 0 {
+			run.st.data = d.valB(pc)
+		}
+		acts = bcastActs(acts, parent, children)
+	case collGather:
+		run.st.entries = append(run.st.entries, gatherEntry{rank: pc.rank, data: d.valB(pc)})
+		acts = gatherActs(acts, parent, children)
+	}
+	run.acts = acts
+	pc.sendPrefix(run)
 }
 
 // sendPrefix executes the schedule's pending leading sends.
-func (run *collRun) sendPrefix(pc *PC) {
+func (pc *PC) sendPrefix(run *collRun) {
 	for run.next < len(run.acts) && run.acts[run.next].send {
 		a := run.acts[run.next]
-		var payload []byte
-		if a.data != nil {
-			payload = a.data()
-		}
-		pc.sendEdge(a.peer, a.tag, payload)
+		pc.sendEdge(int(a.peer), int(a.tag), run.st.payload(a))
 		run.next++
 	}
 }
 
-// startColl registers the run under its site and fires its leading
-// sends — with eager buffering the rank's contribution is in flight
-// before the start Proc completes.
-func (pc *PC) startColl(d *collDef, run *collRun) {
-	if pc.colls == nil {
-		pc.colls = make(map[*collDef]*collRun)
+// waitColl advances the started collective at site d: remaining
+// receives park the rank (one at a time), dependent sends go out, and
+// on completion the slot is freed and the result delivered. msg, when
+// non-nil, matches the receive the rank parked on. Returns false while
+// parked.
+func (pc *PC) waitColl(d *collDef, msg *comm.Message) bool {
+	run := pc.runOf(d)
+	if run == nil {
+		panic(fmt.Sprintf("ampi: rank %d: wait for %s with no matching start", pc.rank, d.name))
 	}
-	if _, dup := pc.colls[d]; dup {
-		panic(fmt.Sprintf("ampi: rank %d: %s started again before its wait completed", pc.rank, d.name))
-	}
-	run.sendPrefix(pc)
-	pc.colls[d] = run
-}
-
-// collWaitProc completes a started collective: remaining receives
-// park the flow (one at a time — the event backend holds a single
-// continuation), dependent sends go out, and finish delivers the
-// result.
-type collWaitProc struct{ d *collDef }
-
-func (wp collWaitProc) run(pc *PC, k func()) {
-	run, ok := pc.colls[wp.d]
-	if !ok {
-		panic(fmt.Sprintf("ampi: rank %d: wait for %s with no matching start", pc.rank, wp.d.name))
-	}
-	var step func()
-	step = func() {
-		run.sendPrefix(pc)
-		if run.next >= len(run.acts) {
-			delete(pc.colls, wp.d)
-			if run.finish != nil {
-				run.finish(pc)
+	for {
+		if msg == nil {
+			pc.sendPrefix(run)
+			if run.next == len(run.acts) {
+				pc.finishColl(run)
+				return true
 			}
-			k()
-			return
+			a := run.acts[run.next]
+			if msg = pc.be.recv(pc, int(a.peer), int(a.tag)); msg == nil {
+				return false
+			}
 		}
-		a := run.acts[run.next]
-		pc.blockKind = blockColl
-		pc.be.recv(pc, a.peer, a.tag, func(m *comm.Message) {
-			pc.consume(m)
-			if a.on != nil {
-				if err := a.on(m.Data); err != nil {
-					panic(err)
-				}
-			}
-			run.next++
-			pc.tramp.Schedule(step)
-		})
+		pc.consume(msg)
+		if err := run.st.absorb(run.acts[run.next], msg.Data, d.combine, pc.Size()); err != nil {
+			panic(err)
+		}
+		run.next++
+		msg = nil
 	}
-	step()
 }
 
-// icoll builds a (start, wait) Proc pair around a run constructor.
-func icoll(name string, build func(*PC) *collRun) (start, wait Proc) {
-	d := &collDef{name}
-	return Do(func(pc *PC) { pc.startColl(d, build(pc)) }), collWaitProc{d}
-}
-
-func barrierRun(pc *PC) *collRun {
-	parent, children := family(pc, 0)
-	return &collRun{acts: barrierActs(parent, children)}
-}
-
-func reduceRun(pc *PC, root int, op string, val func(*PC) float64, then func(*PC, float64)) *collRun {
-	combine := mustCombiner(op)
-	parent, children := family(pc, root)
-	acc := new(float64)
-	*acc = val(pc)
-	run := &collRun{acts: reduceActs(parent, children, acc, combine)}
-	if then != nil && parent < 0 {
-		run.finish = func(pc *PC) { then(pc, *acc) }
-	}
-	return run
-}
-
-func allreduceRun(pc *PC, op string, val func(*PC) float64, then func(*PC, float64)) *collRun {
-	combine := mustCombiner(op)
-	parent, children := family(pc, 0)
-	acc := new(float64)
-	*acc = val(pc)
-	run := &collRun{acts: allreduceActs(parent, children, acc, combine)}
-	if then != nil {
-		run.finish = func(pc *PC) { then(pc, *acc) }
-	}
-	return run
-}
-
-func bcastRun(pc *PC, root int, val func(*PC) []byte, then func(*PC, []byte)) *collRun {
-	parent, children := family(pc, root)
-	data := new([]byte)
-	if parent < 0 {
-		*data = val(pc)
-	}
-	run := &collRun{acts: bcastActs(parent, children, data)}
-	if then != nil {
-		run.finish = func(pc *PC) { then(pc, *data) }
-	}
-	return run
-}
-
-func gatherRun(pc *PC, root int, val func(*PC) []byte, then func(*PC, [][]byte)) *collRun {
-	parent, children := family(pc, root)
-	entries := &[]gatherEntry{{rank: pc.rank, data: val(pc)}}
-	run := &collRun{acts: gatherActs(parent, children, entries, pc.Size())}
-	if then != nil && parent < 0 {
-		run.finish = func(pc *PC) {
-			out := make([][]byte, pc.Size())
-			for _, e := range *entries {
-				out[e.rank] = e.data
-			}
-			then(pc, out)
+// finishColl delivers a completed run's result and frees its slot.
+func (pc *PC) finishColl(run *collRun) {
+	d, root := run.def, run.parent < 0
+	switch d.kind {
+	case collReduce:
+		if d.thenF != nil && root {
+			d.thenF(pc, run.st.acc)
+		}
+	case collAllreduce:
+		if d.thenF != nil {
+			d.thenF(pc, run.st.acc)
+		}
+	case collBcast:
+		if d.thenB != nil {
+			d.thenB(pc, run.st.data)
+		}
+	case collGather:
+		if d.thenG != nil && root {
+			d.thenG(pc, gatherParts(run.st.entries, pc.Size()))
 		}
 	}
-	return run
+	run.def = nil
+	run.st.data = nil
+	clear(run.st.entries) // drop payload references; the buffer stays
+}
+
+// icoll returns the (start, wait) statement pair of a new site.
+func icoll(d *collDef) (start, wait Proc) {
+	return collStartProc{d}, collWaitProc{d}
+}
+
+// blocking is the blocking form of a site: start, then wait.
+func blocking(d *collDef) Proc {
+	start, wait := icoll(d)
+	return Seq(start, wait)
 }
 
 // Barrier blocks until every rank has entered it: arrivals combine up
 // the topology, the release broadcasts down.
 func Barrier() Proc {
-	start, wait := icoll("Barrier", barrierRun)
-	return Seq(start, wait)
+	return blocking(&collDef{name: "Barrier", kind: collBarrier})
 }
 
 // Ibarrier is the nonblocking Barrier: start fires the rank's arrival
 // up the tree, wait blocks until the release comes down. Statements
 // between the two run while other ranks are still arriving.
 func Ibarrier() (start, wait Proc) {
-	return icoll("Ibarrier", barrierRun)
+	return icoll(&collDef{name: "Ibarrier", kind: collBarrier})
 }
 
 // Reduce combines every rank's value (from val) at root with op
 // ("sum", "max", "min"); then runs on root only.
 func Reduce(root int, op string, val func(*PC) float64, then func(*PC, float64)) Proc {
-	start, wait := icoll("Reduce", func(pc *PC) *collRun { return reduceRun(pc, root, op, val, then) })
-	return Seq(start, wait)
+	return blocking(&collDef{name: "Reduce", kind: collReduce, root: root, combine: mustCombiner(op), valF: val, thenF: then})
 }
 
 // Ireduce is the nonblocking Reduce: val is read at start, then runs
 // (on root) at wait.
 func Ireduce(root int, op string, val func(*PC) float64, then func(*PC, float64)) (start, wait Proc) {
-	return icoll("Ireduce", func(pc *PC) *collRun { return reduceRun(pc, root, op, val, then) })
+	return icoll(&collDef{name: "Ireduce", kind: collReduce, root: root, combine: mustCombiner(op), valF: val, thenF: then})
 }
 
 // Allreduce combines every rank's value with op and delivers the
 // result to then on every rank.
 func Allreduce(op string, val func(*PC) float64, then func(*PC, float64)) Proc {
-	start, wait := icoll("Allreduce", func(pc *PC) *collRun { return allreduceRun(pc, op, val, then) })
-	return Seq(start, wait)
+	return blocking(&collDef{name: "Allreduce", kind: collAllreduce, combine: mustCombiner(op), valF: val, thenF: then})
 }
 
 // Iallreduce is the nonblocking Allreduce: val is read at start (a
@@ -649,34 +739,32 @@ func Allreduce(op string, val func(*PC) float64, then func(*PC, float64)) Proc {
 // runs with the combined result at wait — so Work placed between the
 // two halves overlaps the reduction's tree latency.
 func Iallreduce(op string, val func(*PC) float64, then func(*PC, float64)) (start, wait Proc) {
-	return icoll("Iallreduce", func(pc *PC) *collRun { return allreduceRun(pc, op, val, then) })
+	return icoll(&collDef{name: "Iallreduce", kind: collAllreduce, combine: mustCombiner(op), valF: val, thenF: then})
 }
 
 // Bcast broadcasts root's data (from val, called on root only) down
 // the topology; then runs on every rank with the received copy.
 func Bcast(root int, val func(*PC) []byte, then func(*PC, []byte)) Proc {
-	start, wait := icoll("Bcast", func(pc *PC) *collRun { return bcastRun(pc, root, val, then) })
-	return Seq(start, wait)
+	return blocking(&collDef{name: "Bcast", kind: collBcast, root: root, valB: val, thenB: then})
 }
 
 // Ibcast is the nonblocking Bcast: root's sends fire at start, every
 // rank's then runs at wait.
 func Ibcast(root int, val func(*PC) []byte, then func(*PC, []byte)) (start, wait Proc) {
-	return icoll("Ibcast", func(pc *PC) *collRun { return bcastRun(pc, root, val, then) })
+	return icoll(&collDef{name: "Ibcast", kind: collBcast, root: root, valB: val, thenB: then})
 }
 
 // Gather collects every rank's data (from val) at root, indexed by
 // rank; then runs on root only. Subtrees pack their entries into one
 // message per edge, like the thread API's gatherTree.
 func Gather(root int, val func(*PC) []byte, then func(*PC, [][]byte)) Proc {
-	start, wait := icoll("Gather", func(pc *PC) *collRun { return gatherRun(pc, root, val, then) })
-	return Seq(start, wait)
+	return blocking(&collDef{name: "Gather", kind: collGather, root: root, valB: val, thenG: then})
 }
 
 // Igather is the nonblocking Gather: leaf contributions fire at
 // start, the root's then runs at wait.
 func Igather(root int, val func(*PC) []byte, then func(*PC, [][]byte)) (start, wait Proc) {
-	return icoll("Igather", func(pc *PC) *collRun { return gatherRun(pc, root, val, then) })
+	return icoll(&collDef{name: "Igather", kind: collGather, root: root, valB: val, thenG: then})
 }
 
 // Scatter distributes chunks (from val, called on root only; one
@@ -769,6 +857,7 @@ func NewProgram(m *core.Machine, size int, opts Options, prog Proc) (*Job, error
 		return nil, err
 	}
 	j.prog = prog
+	j.depth = depth(prog, make(map[Proc]int))
 	if j.opts.Mode == ModeEvent {
 		if j.ev, err = newEventEngine(j); err != nil {
 			return nil, err
@@ -779,7 +868,7 @@ func NewProgram(m *core.Machine, size int, opts Options, prog Proc) (*Job, error
 	j.pcs = make([]*PC, size)
 	for r := 0; r < size; r++ {
 		rank := &Rank{job: j, rank: r}
-		pc := &PC{job: j, rank: r, tramp: &sdag.Tramp{}}
+		pc := &PC{job: j, rank: r}
 		pc.be = ultBE{rank}
 		j.pcs[r] = pc
 		pe := m.PE(placePE(r, size, m.NumPEs(), j.opts.BlockPlacement))
@@ -789,7 +878,7 @@ func NewProgram(m *core.Machine, size int, opts Options, prog Proc) (*Job, error
 			Globals:   j.opts.Globals,
 		}, func(c *converse.Ctx) {
 			rank.ctx = c
-			runProgram(pc, j.prog)
+			runProgram(pc)
 			if j.opts.Aggregate {
 				rank.flushStream()
 			}
@@ -807,16 +896,15 @@ func NewProgram(m *core.Machine, size int, opts Options, prog Proc) (*Job, error
 	return j, nil
 }
 
-// runProgram interprets prog to completion on the calling thread (the
-// ULT backend): blocking points suspend the thread, and the
-// trampoline keeps CPS depth bounded between them.
-func runProgram(pc *PC, prog Proc) {
-	done := false
-	pc.tramp.Schedule(func() { prog.run(pc, func() { done = true }) })
-	pc.tramp.Drain()
-	if !done {
-		panic(fmt.Sprintf("ampi: rank %d program stopped before completion (a Recv with no matching sender?)", pc.rank))
+// runProgram interprets the job's program to completion on the
+// calling thread (the ULT backend): blocking points suspend the
+// thread inside exec, so it only returns at the end.
+func runProgram(pc *PC) {
+	pc.start()
+	if !pc.exec(nil) {
+		panic(fmt.Sprintf("ampi: rank %d program parked on a thread backend", pc.rank))
 	}
+	pc.frames = nil
 }
 
 // ultBE interprets program blocking points against the rank's thread:
@@ -830,9 +918,7 @@ func (b ultBE) send(pc *PC, dest, tag int, data []byte) {
 	}
 }
 
-func (b ultBE) recv(pc *PC, src, tag int, k func(*comm.Message)) {
-	k(b.r.recv(src, tag))
-}
+func (b ultBE) recv(pc *PC, src, tag int) *comm.Message { return b.r.recv(src, tag) }
 
 func (b ultBE) work(pc *PC, ns float64) { b.r.ctx.Work(ns) }
 
@@ -841,10 +927,10 @@ func (b ultBE) pe(pc *PC) int { return b.r.ctx.PE().Index }
 // lbpoint suspends the rank's thread at the gate; the driver's
 // serviceGate migrates it (as a suspended thread, via the ordinary
 // bulk path) and Awakens it on the destination.
-func (b ultBE) lbpoint(pc *PC, k func()) {
+func (b ultBE) lbpoint(pc *PC) bool {
 	pc.job.gateArrive()
 	b.r.ctx.Suspend()
-	k()
+	return true
 }
 
 func (b ultBE) usestack(pc *PC, n uint64) {

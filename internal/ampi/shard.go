@@ -2,35 +2,39 @@ package ampi
 
 // Cross-process migration for sharded event jobs: the continuation
 // analogue of shipping a thread's stack image over the socket. An
-// in-process move rides eventRecord — the closure (kont) and pc.Local
+// in-process move rides eventRecord — the frame stack and pc.Local
 // stay reachable by reference. Across an OS process boundary nothing
 // is reachable, so the record must carry everything the destination
 // needs to REBUILD the continuation:
 //
-//   - the rank's tree PATH — its structural coordinates in the shared
-//     immutable program (one index per enclosing Seq/For). Because
-//     every worker holds the identical tree, the destination re-seeks
-//     by re-descending it: structural nodes consume path frames and
-//     jump straight to the blocked statement, so no completed work
-//     re-runs and virtual time is untouched.
-//   - the blocked Recv's match spec, virtual time, measured load, and
+//   - the rank's tree PATH — the index of every frame below the top
+//     (the running child of each enclosing Seq, the iteration of each
+//     For). A frame stack is positions in the shared immutable
+//     program, and every worker holds the identical tree, so the path
+//     IS the continuation: the destination rebuilds the frames by
+//     descending the tree along it (calling a Call's generator again
+//     where the path passes one), with the parked Recv on top. No
+//     completed work re-runs and virtual time is untouched.
+//   - the parked Recv's match spec, virtual time, measured load, and
 //     buffered messages (the same fields eventRecord pups).
 //   - pc.Local, serialized by the program's Options.LocalPUP hook.
 //
 // Only a rank parked at a plain Recv can cross: a collective wait or
-// Waitall holds closure state (accumulator pointers, request slices)
-// that tree coordinates cannot re-derive, and ShardExtract refuses.
+// Waitall holds per-execution state (a schedule cursor and
+// accumulator, a request slice) that the path alone does not carry,
+// and ShardExtract refuses.
 //
 // Protocol (driven by the shard orchestration layer): the source
 // worker calls ShardExtract — which atomically flips the directory,
 // owner word, and epoch, so stragglers start chasing over the socket —
 // and ships the record bytes to the destination worker (a control
 // frame) plus a move notice to every other worker (ShardNoteMove).
-// The destination calls ShardInstall, which merges the record's
-// pending messages AHEAD of anything that already chased its way into
-// the slot (the record's are older: they arrived before the move),
-// then injects a tagReseek activation through the normal delivery
-// path so the re-descent runs on the owning PE's own goroutine.
+// The destination calls ShardInstall, which rebuilds the frames,
+// merges the record's pending messages AHEAD of anything that already
+// chased its way into the slot (the record's are older: they arrived
+// before the move), then injects a tagReseek activation through the
+// normal delivery path so the rank resumes on the owning PE's own
+// goroutine.
 // Link FIFO guarantees the destination sees the record before any
 // message the source forwards after flipping its table. It cannot
 // order two different routes, though: a sender that learns the new
@@ -81,8 +85,8 @@ func (j *Job) ShardMigratable(r int) bool {
 	er := &ranks[r]
 	er.mu.Lock()
 	defer er.mu.Unlock()
-	return !er.done && er.hasWait && er.pc.blockKind == blockRecv &&
-		len(er.pc.colls) == 0 && (er.pc.Local == nil || j.opts.LocalPUP != nil)
+	return !er.done && er.hasWait && er.pc.parkedAtRecv() &&
+		!er.pc.collsInFlight() && (er.pc.Local == nil || j.opts.LocalPUP != nil)
 }
 
 // ShardExtract serializes rank's continuation record for another
@@ -115,10 +119,10 @@ func (j *Job) ShardExtract(rank, toPE int) ([]byte, error) {
 	if er.done {
 		return nil, fmt.Errorf("ampi: ShardExtract: rank %d already finished", rank)
 	}
-	if !er.hasWait || er.pc.blockKind != blockRecv {
+	if !er.hasWait || !er.pc.parkedAtRecv() {
 		return nil, fmt.Errorf("ampi: ShardExtract: rank %d is not parked at a plain Recv", rank)
 	}
-	if len(er.pc.colls) != 0 {
+	if er.pc.collsInFlight() {
 		return nil, fmt.Errorf("ampi: ShardExtract: rank %d has in-flight nonblocking collectives", rank)
 	}
 	if er.pc.Local != nil && j.opts.LocalPUP == nil {
@@ -139,10 +143,11 @@ func (j *Job) ShardExtract(rank, toPE int) ([]byte, error) {
 	}
 	e.pes[rank].Store(int32(toPE))
 	e.migEpoch.Add(1)
-	er.hasWait, er.kont = false, nil
+	er.hasWait = false
 	er.waiting = matchSpec{}
 	er.mbox, er.head = nil, 0
 	er.sendSeq, er.recvSeq, er.held = nil, nil, nil
+	er.pc.frames, er.pc.colls = nil, nil
 	er.pc.Local = nil
 	er.busy = 0
 	e.remaining.Add(-1)
@@ -172,10 +177,12 @@ func (j *Job) ShardNoteMove(rank, toPE int) error {
 }
 
 // ShardInstall adopts a record extracted by another process: it flips
-// the local directory, rebuilds the rank's slot, merges the record's
-// buffered messages ahead of any that chased here first, charges the
-// machine's migration bookkeeping, and schedules the reseek
-// activation on the owning PE. Returns the installed rank.
+// the local directory, rebuilds the rank's slot and frame stack,
+// merges the record's buffered messages ahead of any that chased here
+// first, charges the machine's migration bookkeeping, and schedules
+// the reseek activation on the owning PE. It may run before this
+// process's Start: the rebuilt frames mark the rank as running, so
+// Start leaves it to the reseek. Returns the installed rank.
 func (j *Job) ShardInstall(data []byte) (int, error) {
 	e := j.ev
 	if e == nil || !e.sharded {
@@ -210,13 +217,17 @@ func (j *Job) ShardInstall(data []byte) (int, error) {
 
 	er := &e.store()[rec.rank]
 	er.mu.Lock()
+	er.pc.Local = local
+	if err := er.pc.rebuild(rec.path); err != nil {
+		er.pc.Local = nil
+		er.mu.Unlock()
+		return -1, fmt.Errorf("ampi: ShardInstall: %w", err)
+	}
 	er.pc.vt = rec.vt
 	er.busy = rec.busy
 	er.waiting = rec.waiting
-	er.hasWait, er.kont = false, nil
+	er.hasWait = false
 	er.hasReseek = true
-	er.pc.seek, er.pc.seekPos = rec.path, 0
-	er.pc.Local = local
 	if len(rec.pending) > 0 {
 		// The record's messages arrived at the source before the move;
 		// anything already buffered here chased the table flip and is
@@ -248,12 +259,12 @@ func (j *Job) ShardInstall(data []byte) (int, error) {
 	return rec.rank, nil
 }
 
-// reseekLocked re-runs the program from the root with pc.seek set, so
-// the descent jumps straight to the blocked Recv: already-delivered
-// matches consume immediately, otherwise the rank re-parks with a
-// freshly built continuation. One activation is charged, like any
-// dispatch; virtual time only moves if a message is consumed — the
-// same instants it would have moved at on the source. er.mu held.
+// reseekLocked resumes an installed rank at its rebuilt frames: the
+// Recv on top runs again, so an already-delivered match is consumed
+// immediately, otherwise the rank re-parks. One activation is
+// charged, like any dispatch; virtual time only moves if a message is
+// consumed — the same instants it would have moved at on the source.
+// er.mu held.
 func (e *eventEngine) reseekLocked(er *eventRank, pe int) {
 	if !er.hasReseek || er.done {
 		return
@@ -261,14 +272,56 @@ func (e *eventEngine) reseekLocked(er *eventRank, pe int) {
 	er.hasReseek = false
 	er.seq++
 	e.job.m.PE(pe).Clock.Advance(e.dispatchNs(pe))
-	pc := &er.pc
-	pc.path = pc.path[:0]
-	pc.blockKind = blockNone
-	er.tramp.Schedule(func() {
-		e.job.prog.run(pc, func() { e.finish(pc.rank) })
-	})
-	er.tramp.Drain()
-	pc.seek, pc.seekPos = nil, 0
+	if er.pc.exec(nil) {
+		e.finish(er.pc.rank)
+	}
+}
+
+// rebuild sets the rank's frames from a shipped path by descending the
+// shared program along it; the statement the path ends at must be the
+// Recv the rank was parked on.
+func (pc *PC) rebuild(path []int32) error {
+	frames := make([]frame, 0, max(pc.job.depth, len(path)+1))
+	node := pc.job.prog
+	for _, v := range path {
+		node = pc.resolve(node)
+		i := int(v)
+		var child Proc
+		switch p := node.(type) {
+		case *seqProc:
+			if i < 0 || i >= len(p.ps) {
+				return fmt.Errorf("record path index %d outside a %d-statement Seq", i, len(p.ps))
+			}
+			child = p.ps[i]
+		case *forProc:
+			if i < 0 || i >= len(p.bodies) {
+				return fmt.Errorf("record path iteration %d outside a %d-iteration For", i, len(p.bodies))
+			}
+			child = p.bodies[i]
+		default:
+			return fmt.Errorf("record path descends into a %T", node)
+		}
+		frames = append(frames, frame{node: node, i: i})
+		node = child
+	}
+	node = pc.resolve(node)
+	if _, ok := node.(*recvProc); !ok {
+		return fmt.Errorf("record path ends at a %T, not a Recv", node)
+	}
+	pc.frames = append(frames, frame{node: node})
+	return nil
+}
+
+// resolve expands Call statements, as the interpreter does on reaching
+// them.
+func (pc *PC) resolve(node Proc) Proc {
+	for {
+		c, ok := node.(callProc)
+		if !ok {
+			return node
+		}
+		node = c.gen(pc)
+	}
 }
 
 // shardWire is the decoded cross-process record.
@@ -426,13 +479,14 @@ func (e *eventEngine) packWireLocked(p *pup.PUPer, er *eventRank, toPE int, depa
 	if err := p.Int(&er.waiting.tag); err != nil {
 		return err
 	}
-	plen := len(er.pc.path)
+	// The path: every frame's index below the parked Recv on top.
+	path := er.pc.frames[:len(er.pc.frames)-1]
+	plen := len(path)
 	if err := p.Int(&plen); err != nil {
 		return err
 	}
-	for i := 0; i < plen; i++ {
-		v := int(er.pc.path[i])
-		if err := p.Int(&v); err != nil {
+	for _, f := range path {
+		if err := p.Int(&f.i); err != nil {
 			return err
 		}
 	}

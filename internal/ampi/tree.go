@@ -3,6 +3,7 @@ package ampi
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Spanning-tree collectives (CollTree, the default). Every collective
@@ -30,8 +31,10 @@ import (
 // renumbered relative to root, so any root yields the same shape. It
 // is placement- and mode-independent — both the thread collectives
 // below and the continuation-program collectives (program.go) build
-// their trees here.
-func treeFamily(rank, n, k, root int) (parent int, children []int) {
+// their trees here. Children are appended to buf (nil, or a reused
+// buffer), as in every family function below.
+func treeFamily(rank, n, k, root int, buf []int) (parent int, children []int) {
+	children = buf
 	rel := (rank - root + n) % n
 	parent = -1
 	if rel != 0 {
@@ -103,14 +106,15 @@ func (tm topoMap) count(m int) int {
 // result depends only on (rank, n, k, root, t, block) — never on
 // current placement — so collectives built on it stay deterministic
 // and migration-invariant.
-func topoFamily(rank, n, k, root int, t Topology, block bool) (parent int, children []int) {
+func topoFamily(rank, n, k, root int, t Topology, block bool, buf []int) (parent int, children []int) {
 	eff, gsize := t.Nodes, t.GroupSize
 	if eff > n {
 		eff = n
 	}
 	if eff <= 0 || gsize <= 0 {
-		return treeFamily(rank, n, k, root)
+		return treeFamily(rank, n, k, root, buf)
 	}
+	children = buf
 	tm := topoMap{n: n, eff: eff, k: k, block: block}
 	abs := func(x int) int { return (x + root) % n }
 	rel := (rank - root + n) % n
@@ -167,11 +171,11 @@ func topoFamily(rank, n, k, root int, t Topology, block bool) (parent int, child
 // one-level star (CollFlat; children in rank order, so star
 // collectives built on it are deterministic, unlike the blocking flat
 // loops' AnySource matching).
-func collFamily(rank, n int, opts *Options, root int) (parent int, children []int) {
+func collFamily(rank, n int, opts *Options, root int, buf []int) (parent int, children []int) {
 	switch opts.Collectives {
 	case CollFlat:
 		if rank == root {
-			children = make([]int, 0, n-1)
+			children = slices.Grow(buf, n-1)
 			for i := 0; i < n; i++ {
 				if i != root {
 					children = append(children, i)
@@ -181,14 +185,14 @@ func collFamily(rank, n int, opts *Options, root int) (parent int, children []in
 		}
 		return root, nil
 	case CollTopoTree:
-		return topoFamily(rank, n, opts.TreeArity, root, opts.Topo, opts.BlockPlacement)
+		return topoFamily(rank, n, opts.TreeArity, root, opts.Topo, opts.BlockPlacement, buf)
 	default:
-		return treeFamily(rank, n, opts.TreeArity, root)
+		return treeFamily(rank, n, opts.TreeArity, root, buf)
 	}
 }
 
 func (r *Rank) family(root int) (parent int, children []int) {
-	return collFamily(r.rank, len(r.job.ranks), &r.job.opts, root)
+	return collFamily(r.rank, len(r.job.ranks), &r.job.opts, root, nil)
 }
 
 // ---------------------------------------------------------------
@@ -199,138 +203,169 @@ func (r *Rank) family(root int) (parent int, children []int) {
 // up-combine/down-broadcast dance. The builders below emit that
 // sequence once; the blocking thread collectives (runActs), the
 // nonblocking thread requests (CollRequest, nonblocking.go), and both
-// program backends (collWaitProc, program.go) all execute the same
+// program backends (PC.waitColl, program.go) all execute the same
 // schedule — which is what makes blocking and nonblocking collectives
 // bit-identical by construction: a blocking collective IS its
 // nonblocking start followed immediately by its wait.
+//
+// Actions are plain data: what a send carries and what a receive does
+// with its payload is named by the action's op and applied to the
+// execution's collState, so a schedule is built into a reusable buffer
+// and allocates no closures.
+
+// actOp names what an action moves between the wire and the collState.
+type actOp uint8
+
+const (
+	actNone    actOp = iota // send an empty message / discard the payload
+	actCombine              // receive: acc = combine(acc, payload)
+	actAcc                  // send: acc; receive: acc = payload
+	actData                 // send: data; receive: data = payload
+	actGather               // send: the packed entries; receive: append the subtree
+)
 
 // collAct is one edge action of a collective schedule. Send payloads
 // are computed at execution time (an up-phase send depends on data
-// combined from earlier receives); receive handlers fold the payload
-// into the rank's accumulator.
+// combined from earlier receives).
 type collAct struct {
 	send bool
-	peer int
-	tag  int
-	data func() []byte      // send payload (nil = empty message)
-	on   func([]byte) error // receive handler (nil = discard)
+	op   actOp
+	peer int32
+	tag  int32
+}
+
+// collState is one rank's data for one collective execution: the
+// accumulator receive actions fold into and send actions read from.
+type collState struct {
+	acc     float64
+	data    []byte
+	entries []gatherEntry
+}
+
+// payload returns the bytes send action a carries.
+func (s *collState) payload(a collAct) []byte {
+	switch a.op {
+	case actAcc:
+		return f64bytes(s.acc)
+	case actData:
+		return s.data
+	case actGather:
+		return packGather(s.entries)
+	}
+	return nil
+}
+
+// absorb applies receive action a to payload d. combine serves
+// actCombine; nranks bounds the ranks a gathered subtree may name.
+func (s *collState) absorb(a collAct, d []byte, combine func(a, b float64) float64, nranks int) error {
+	switch a.op {
+	case actCombine:
+		s.acc = combine(s.acc, f64(d))
+	case actAcc:
+		s.acc = f64(d)
+	case actData:
+		s.data = d
+	case actGather:
+		entries, err := appendGather(s.entries, d, nranks)
+		if err != nil {
+			return err
+		}
+		s.entries = entries
+	}
+	return nil
+}
+
+func sendAct(op actOp, peer, tag int) collAct {
+	return collAct{send: true, op: op, peer: int32(peer), tag: int32(tag)}
+}
+
+func recvAct(op actOp, peer, tag int) collAct {
+	return collAct{op: op, peer: int32(peer), tag: int32(tag)}
 }
 
 // barrierActs: arrivals combine up the tree, the release broadcasts
 // down. Depth is ceil(log_k P), and every rank handles at most k+1
-// messages.
-func barrierActs(parent int, children []int) []collAct {
-	var acts []collAct
+// messages. Every builder appends to acts (pass a reused buffer).
+func barrierActs(acts []collAct, parent int, children []int) []collAct {
 	for _, c := range children {
-		acts = append(acts, collAct{peer: c, tag: tagBarrier})
+		acts = append(acts, recvAct(actNone, c, tagBarrier))
 	}
 	if parent >= 0 {
-		acts = append(acts,
-			collAct{send: true, peer: parent, tag: tagBarrier},
-			collAct{peer: parent, tag: tagBarrierRelease})
+		acts = append(acts, sendAct(actNone, parent, tagBarrier), recvAct(actNone, parent, tagBarrierRelease))
 	}
 	for _, c := range children {
-		acts = append(acts, collAct{send: true, peer: c, tag: tagBarrierRelease})
+		acts = append(acts, sendAct(actNone, c, tagBarrierRelease))
 	}
 	return acts
 }
 
-// allreduceActs combines partial values up the tree into *acc and
+// allreduceActs combines partial values up the tree into acc and
 // broadcasts the result down the same edges.
-func allreduceActs(parent int, children []int, acc *float64, combine func(a, b float64) float64) []collAct {
-	var acts []collAct
+func allreduceActs(acts []collAct, parent int, children []int) []collAct {
 	for _, c := range children {
-		acts = append(acts, collAct{peer: c, tag: tagReduce, on: func(d []byte) error {
-			*acc = combine(*acc, f64(d))
-			return nil
-		}})
+		acts = append(acts, recvAct(actCombine, c, tagReduce))
 	}
 	if parent >= 0 {
-		acts = append(acts,
-			collAct{send: true, peer: parent, tag: tagReduce, data: func() []byte { return f64bytes(*acc) }},
-			collAct{peer: parent, tag: tagReduceResult, on: func(d []byte) error {
-				*acc = f64(d)
-				return nil
-			}})
+		acts = append(acts, sendAct(actAcc, parent, tagReduce), recvAct(actAcc, parent, tagReduceResult))
 	}
 	for _, c := range children {
-		acts = append(acts, collAct{send: true, peer: c, tag: tagReduceResult, data: func() []byte { return f64bytes(*acc) }})
+		acts = append(acts, sendAct(actAcc, c, tagReduceResult))
 	}
 	return acts
 }
 
-// reduceActs combines partial values up the tree into *acc; only the
-// root's *acc ends up meaningful.
-func reduceActs(parent int, children []int, acc *float64, combine func(a, b float64) float64) []collAct {
-	var acts []collAct
+// reduceActs combines partial values up the tree into acc; only the
+// root's acc ends up meaningful.
+func reduceActs(acts []collAct, parent int, children []int) []collAct {
 	for _, c := range children {
-		acts = append(acts, collAct{peer: c, tag: tagReduceRoot, on: func(d []byte) error {
-			*acc = combine(*acc, f64(d))
-			return nil
-		}})
+		acts = append(acts, recvAct(actCombine, c, tagReduceRoot))
 	}
 	if parent >= 0 {
-		acts = append(acts, collAct{send: true, peer: parent, tag: tagReduceRoot, data: func() []byte { return f64bytes(*acc) }})
+		acts = append(acts, sendAct(actAcc, parent, tagReduceRoot))
 	}
 	return acts
 }
 
-// bcastActs forwards *data (pre-set on the root) down the tree.
-func bcastActs(parent int, children []int, data *[]byte) []collAct {
-	var acts []collAct
+// bcastActs forwards data (pre-set on the root) down the tree.
+func bcastActs(acts []collAct, parent int, children []int) []collAct {
 	if parent >= 0 {
-		acts = append(acts, collAct{peer: parent, tag: tagBcast, on: func(d []byte) error {
-			*data = d
-			return nil
-		}})
+		acts = append(acts, recvAct(actData, parent, tagBcast))
 	}
 	for _, c := range children {
-		acts = append(acts, collAct{send: true, peer: c, tag: tagBcast, data: func() []byte { return *data }})
+		acts = append(acts, sendAct(actData, c, tagBcast))
 	}
 	return acts
 }
 
-// gatherActs merges (rank, data) entries up the tree: *entries starts
+// gatherActs merges (rank, data) entries up the tree: entries starts
 // with the rank's own contribution, children's packed subtrees append
 // to it, and one packed message goes to the parent — so the root
 // receives exactly its children's subtrees instead of P-1 messages.
-func gatherActs(parent int, children []int, entries *[]gatherEntry, nranks int) []collAct {
-	var acts []collAct
+func gatherActs(acts []collAct, parent int, children []int) []collAct {
 	for _, c := range children {
-		acts = append(acts, collAct{peer: c, tag: tagGather, on: func(d []byte) error {
-			sub, err := unpackGather(d, nranks)
-			if err != nil {
-				return err
-			}
-			*entries = append(*entries, sub...)
-			return nil
-		}})
+		acts = append(acts, recvAct(actGather, c, tagGather))
 	}
 	if parent >= 0 {
-		acts = append(acts, collAct{send: true, peer: parent, tag: tagGather, data: func() []byte { return packGather(*entries) }})
+		acts = append(acts, sendAct(actGather, parent, tagGather))
 	}
 	return acts
+}
+
+// doAct executes one action synchronously on the rank's thread.
+func (r *Rank) doAct(a collAct, st *collState, combine func(a, b float64) float64) error {
+	if a.send {
+		return r.sendEdge(int(a.peer), int(a.tag), st.payload(a))
+	}
+	m := r.recv(int(a.peer), int(a.tag))
+	return st.absorb(a, m.Data, combine, len(r.job.ranks))
 }
 
 // runActs executes a collective schedule synchronously — the blocking
 // thread collectives.
-func (r *Rank) runActs(acts []collAct) error {
+func (r *Rank) runActs(acts []collAct, st *collState, combine func(a, b float64) float64) error {
 	for _, a := range acts {
-		if a.send {
-			var payload []byte
-			if a.data != nil {
-				payload = a.data()
-			}
-			if err := r.sendEdge(a.peer, a.tag, payload); err != nil {
-				return err
-			}
-			continue
-		}
-		m := r.recv(a.peer, a.tag)
-		if a.on != nil {
-			if err := a.on(m.Data); err != nil {
-				return err
-			}
+		if err := r.doAct(a, st, combine); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -341,45 +376,42 @@ func (r *Rank) runActs(acts []collAct) error {
 
 func (r *Rank) barrierTree() error {
 	parent, children := r.family(0)
-	return r.runActs(barrierActs(parent, children))
+	return r.runActs(barrierActs(nil, parent, children), &collState{}, nil)
 }
 
 // allreduceTree combines partial values up the tree rooted at rank 0
 // and broadcasts the result down the same edges.
 func (r *Rank) allreduceTree(combine func(a, b float64) float64, v float64) (float64, error) {
 	parent, children := r.family(0)
-	acc := new(float64)
-	*acc = v
-	if err := r.runActs(allreduceActs(parent, children, acc, combine)); err != nil {
+	st := collState{acc: v}
+	if err := r.runActs(allreduceActs(nil, parent, children), &st, combine); err != nil {
 		return 0, err
 	}
-	return *acc, nil
+	return st.acc, nil
 }
 
 // reduceTree combines partial values up the tree; only root gets the
 // result (others return 0, like the flat Reduce).
 func (r *Rank) reduceTree(root int, combine func(a, b float64) float64, v float64) (float64, error) {
 	parent, children := r.family(root)
-	acc := new(float64)
-	*acc = v
-	if err := r.runActs(reduceActs(parent, children, acc, combine)); err != nil {
+	st := collState{acc: v}
+	if err := r.runActs(reduceActs(nil, parent, children), &st, combine); err != nil {
 		return 0, err
 	}
 	if parent >= 0 {
 		return 0, nil
 	}
-	return *acc, nil
+	return st.acc, nil
 }
 
 // bcastTree forwards root's data down the tree.
 func (r *Rank) bcastTree(root int, data []byte) ([]byte, error) {
 	parent, children := r.family(root)
-	buf := new([]byte)
-	*buf = data
-	if err := r.runActs(bcastActs(parent, children, buf)); err != nil {
+	st := collState{data: data}
+	if err := r.runActs(bcastActs(nil, parent, children), &st, nil); err != nil {
 		return nil, err
 	}
-	return *buf, nil
+	return st.data, nil
 }
 
 // gatherTree merges (rank, data) entries up the tree: each node packs
@@ -388,18 +420,23 @@ func (r *Rank) bcastTree(root int, data []byte) ([]byte, error) {
 // subtrees instead of P-1 individual messages.
 func (r *Rank) gatherTree(root int, data []byte) ([][]byte, error) {
 	parent, children := r.family(root)
-	entries := &[]gatherEntry{{rank: r.rank, data: data}}
-	if err := r.runActs(gatherActs(parent, children, entries, len(r.job.ranks))); err != nil {
+	st := collState{entries: []gatherEntry{{rank: r.rank, data: data}}}
+	if err := r.runActs(gatherActs(nil, parent, children), &st, nil); err != nil {
 		return nil, err
 	}
 	if parent >= 0 {
 		return nil, nil
 	}
-	out := make([][]byte, len(r.job.ranks))
-	for _, e := range *entries {
+	return gatherParts(st.entries, len(r.job.ranks)), nil
+}
+
+// gatherParts indexes gathered entries by rank.
+func gatherParts(entries []gatherEntry, nranks int) [][]byte {
+	out := make([][]byte, nranks)
+	for _, e := range entries {
 		out[e.rank] = e.data
 	}
-	return out, nil
+	return out
 }
 
 // gatherEntry is one rank's contribution riding a packed subtree
@@ -430,7 +467,12 @@ func packGather(entries []gatherEntry) []byte {
 // unpackGather parses a packed subtree, validating every rank and
 // length against the message bounds.
 func unpackGather(buf []byte, nranks int) ([]gatherEntry, error) {
-	var out []gatherEntry
+	return appendGather(nil, buf, nranks)
+}
+
+// appendGather is unpackGather appending to out, so a collective's
+// reused entry buffer absorbs subtrees without a slice per message.
+func appendGather(out []gatherEntry, buf []byte, nranks int) ([]gatherEntry, error) {
 	for len(buf) > 0 {
 		if len(buf) < 8 {
 			return nil, fmt.Errorf("ampi: Gather: truncated subtree header")

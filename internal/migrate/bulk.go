@@ -12,8 +12,8 @@ import (
 )
 
 // Record is a migratable flow that is NOT a thread: a compact,
-// self-describing state record (an event-mode AMPI continuation, ~180
-// bytes) that serializes and reinstates itself. Unlike a thread, a
+// self-describing state record (an event-mode AMPI continuation, 57
+// bytes with an empty mailbox) that serializes and reinstates itself. Unlike a thread, a
 // record has no stack, heap, or scheduler entry — Extract/Install ARE
 // the whole migration, so the bulk pipeline skips eviction, vmem
 // image validation, and adoption entirely.

@@ -171,7 +171,7 @@ type Params struct {
 	// ampi.ModeULT and ampi.ModeEvent run the same zone step as a
 	// continuation Program on the respective flow backend. Program
 	// mode is what reaches 10^5+ zones: each zone-rank is then a
-	// ~180-byte record instead of a stack. Incompatible with
+	// continuation record instead of a stack. Incompatible with
 	// Steal/Aggregate/Trace.
 	Mode string
 	// LB, when non-nil, triggers MPI_Migrate with this strategy after
@@ -257,10 +257,10 @@ type Result struct {
 	// PredictedNs is the program-mode virtual-time makespan (max rank
 	// VT) — placement-invariant, so it is bit-identical across modes
 	// and across LB decisions (zero in legacy mode, which has no VT).
-	PredictedNs float64
-	CommNs      float64   // halo-exchange component of TimeNs
-	PELoads    []float64 // measured per-PE work (current placement)
-	Imbalance  float64   // max/avg of PELoads
+	PredictedNs   float64
+	CommNs        float64   // halo-exchange component of TimeNs
+	PELoads       []float64 // measured per-PE work (current placement)
+	Imbalance     float64   // max/avg of PELoads
 	Migrations    uint64
 	MigratedBytes uint64
 	MovedRanks    int
@@ -576,19 +576,19 @@ func Run(p Params) (*Result, error) {
 	loads := job.PELoads()
 	stats := m.Network().Snapshot()
 	res := &Result{
-		Params:      p,
-		TimeNs:      total,
-		CommNs:      commTotal,
-		PELoads:     loads,
+		Params:        p,
+		TimeNs:        total,
+		CommNs:        commTotal,
+		PELoads:       loads,
 		Imbalance:     loadbalance.Imbalance(loads),
 		Migrations:    migs,
 		MigratedBytes: migBytes,
 		MovedRanks:    moved,
-		Envelopes:   stats.Envelopes,
-		AggPayloads: stats.AggPayloads,
-		Steals:      m.StealStats(),
-		TopoHops:    m.Network().TopoHops(),
-		Trace:       tlog,
+		Envelopes:     stats.Envelopes,
+		AggPayloads:   stats.AggPayloads,
+		Steals:        m.StealStats(),
+		TopoHops:      m.Network().TopoHops(),
+		Trace:         tlog,
 	}
 	return res, nil
 }

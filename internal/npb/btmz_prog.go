@@ -2,7 +2,7 @@ package npb
 
 // Program-mode BT-MZ: the zone step expressed once as an ampi.Proc
 // and interpreted by either flow backend — Params.Mode "ult" runs it
-// on migratable threads, "event" on ~180-byte continuation records.
+// on migratable threads, "event" on continuation records.
 // The step body (solve → halo sends → deterministic specific-source
 // receives → optional LB gate) is shared verbatim, so the predicted
 // makespan is bit-identical across modes; only the migration
@@ -253,11 +253,11 @@ func runProgram(p Params) (*Result, error) {
 		loads[job.PEOf(r)] += t.myWork[r]
 	}
 	return &Result{
-		Params:      p,
-		TimeNs:      total,
-		CommNs:      commStep * float64(p.Steps),
-		PredictedNs: job.PredictedNs(),
-		PELoads:     loads,
+		Params:        p,
+		TimeNs:        total,
+		CommNs:        commStep * float64(p.Steps),
+		PredictedNs:   job.PredictedNs(),
+		PELoads:       loads,
 		Imbalance:     loadbalance.Imbalance(loads),
 		Migrations:    migs,
 		MigratedBytes: migBytes,

@@ -21,8 +21,13 @@
 // extracts: a record in flight (extracted but not yet installed, or
 // installed but its rank still running) always leaves either the
 // sums unequal or some worker un-done, so the barrier cannot trip
-// while any rank is alive or in transit. Worker failure remains a
-// hard error (transport policy): there is no restart or rebalance.
+// while any rank is alive or in transit. Teardown is two-phase: on
+// stop each worker retires its links and tells every peer so
+// (RETIRED), and Close tears links down only after every peer has
+// done the same — otherwise, with three or more workers, one closing
+// early reads as a crash to a peer that has not yet seen stop. Worker
+// failure remains a hard error (transport policy): there is no
+// restart or rebalance.
 package shard
 
 import (
@@ -46,7 +51,12 @@ const (
 	ctrlAck        uint32 = 4 // destination → source: record installed
 	ctrlStop       uint32 = 5 // coordinator → all: global termination
 	ctrlBlob       uint32 = 6 // bigsim step frame over the shm fabric
+	ctrlRetired    uint32 = 7 // all → all: sender treats link EOF as teardown now
 )
+
+// retireWait bounds how long Close waits for every peer's RETIRED
+// frame (a peer that died mid-teardown must not hang the survivor).
+const retireWait = 10 * time.Second
 
 // Cut returns the first PE of worker i under the standard contiguous
 // split of numPEs across workers (worker i owns [Cut(i), Cut(i+1))).
@@ -78,7 +88,14 @@ type Worker struct {
 	outstanding atomic.Int64  // extracts shipped, ack pending
 	movedOut    atomic.Int64
 
-	stop atomic.Bool
+	stop     atomic.Bool
+	stopOnce sync.Once
+
+	// retiredPeers counts RETIRED frames; allRetired closes when every
+	// peer has sent one, so Close can tear links down without a peer
+	// still reading mistaking the EOF for a crash.
+	retiredPeers atomic.Int64
+	allRetired   chan struct{}
 
 	repMu    sync.Mutex
 	lastRep  [2]uint64
@@ -135,6 +152,10 @@ func NewWorker(index, workers, numPEs int, fab Fabric, build func(*core.Machine)
 		Index: index, Workers: workers, NumPEs: numPEs,
 		M: m, Job: job, T: t,
 		peerDone: make([]bool, workers), peerInst: make([]uint64, workers), peerExtra: make([]uint64, workers),
+		allRetired: make(chan struct{}),
+	}
+	if workers == 1 {
+		close(w.allRetired)
 	}
 	t.SetControlHandler(w.control)
 	if err := t.Start(); err != nil {
@@ -177,17 +198,28 @@ func (w *Worker) control(from int, kind uint32, payload []byte) {
 		w.noteDone(from, binary.LittleEndian.Uint64(payload), binary.LittleEndian.Uint64(payload[8:]))
 	case ctrlStop:
 		w.enterStop()
+	case ctrlRetired:
+		if w.retiredPeers.Add(1) == int64(w.Workers-1) {
+			close(w.allRetired)
+		}
 	default:
 		panic(fmt.Sprintf("shard: worker %d: unknown control kind %d from worker %d", w.Index, kind, from))
 	}
 }
 
-// enterStop marks global termination: the transport is retired first
-// so peers tearing down concurrently no longer count as link faults.
+// enterStop marks global termination, once: the transport is retired
+// first so peers tearing down concurrently no longer count as link
+// faults, and every peer is told so (RETIRED) before this worker's Run
+// can return and its Close can tear links down.
 func (w *Worker) enterStop() {
-	w.T.Retire()
-	w.stop.Store(true)
-	w.M.Wake()
+	w.stopOnce.Do(func() {
+		w.T.Retire()
+		if err := w.T.Broadcast(ctrlRetired, nil); err != nil {
+			panic(fmt.Sprintf("shard: worker %d: broadcasting retired: %v", w.Index, err))
+		}
+		w.stop.Store(true)
+		w.M.Wake()
+	})
 }
 
 // noteDone is the coordinator's half of the barrier (worker 0; its
@@ -250,8 +282,16 @@ func (w *Worker) Run() {
 }
 
 // Close flushes and tears the links down. Call after Run on every
-// worker.
-func (w *Worker) Close() error { return w.T.Close() }
+// worker. It first waits (at most retireWait) for every peer's RETIRED
+// frame: with three or more workers, a peer can still be reading from
+// this worker when this one has already stopped.
+func (w *Worker) Close() error {
+	select {
+	case <-w.allRetired:
+	case <-time.After(retireWait):
+	}
+	return w.T.Close()
+}
 
 // Backoff for MigrateRanks' unproductive scans, mirroring the shm
 // reader's ladder: a few scheduler yields, then OS yields (a bare
