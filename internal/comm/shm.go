@@ -1,16 +1,12 @@
-// ShmTransport: the shared-memory fabric for co-located workers. The
-// PR 9 socket transport made the Machine shard across OS processes,
-// but priced every cross-worker Send at a writev + read pair — a
-// ~120x tax over the in-process path. Processes on one host do not
-// need the kernel to move bytes between them: this backend maps one
-// file per ordered worker pair (created at rendezvous by
+// Shared-memory links for co-located workers. Processes on one host
+// do not need the kernel to move bytes between them: this fabric maps
+// one file per ordered worker pair (created at rendezvous by
 // CreateShmMesh, before any worker starts) and runs a lock-free
 // single-producer/single-consumer byte ring in each, so a Deliver is
 // an envelope encode plus a memcpy into the peer's ring, and a
-// receive is a memcpy out. Framing and codec are exactly the socket
-// wire's — `u32 len | u8 type | body` around the PUP envelope image —
-// so everything above the fabric (shard protocol, equivalence suites)
-// runs unchanged.
+// receive is a memcpy out. Frames are the transport core's `u32 len |
+// u8 type | body` (link.go), so everything above the fabric runs
+// unchanged.
 //
 // Ring layout (one mmap'd file, header page + data):
 //
@@ -28,38 +24,24 @@
 // ring, no cross-process locks anywhere. A frame is published by one
 // release-store of tail after its bytes are in place, so the reader
 // only ever observes whole frames; senders within one process
-// serialize on a local mutex per ring (the SPSC "single producer" is
-// the process, not a goroutine).
+// serialize on the link's mutex (the SPSC "single producer" is the
+// process, not a goroutine).
 //
-// Wakeup is futex-free spin-then-park, in three rungs: an empty-ring
-// reader first yields the Go scheduler for a short burst (frames
-// already in flight land here), then surrenders its kernel timeslice
-// with sched_yield — co-located workers share cores, and the peer
-// process needs this one to produce the next frame — and only after
-// ~a millisecond of emptiness parks in timer sleeps. Wakes/Parks in
-// SocketStats count the sleep transitions, and a parked reader's wake
-// latency is bounded by one nap — no descriptor, no syscall on the
-// send side at all.
-//
-// Teardown follows the socket transport's Retire-before-Close
-// contract. Close marks every outbound ring wclosed *before* waiting
-// for the local readers, so two workers closing concurrently unblock
-// each other: a reader exits once its inbound ring is closed and
-// drained (or its own transport's Close is underway). Ring faults
-// after Retire are teardown noise; before it they panic, same hard
-// failure policy as the socket fabric.
+// Waiting is futex-free: an empty-ring reader and a full-ring writer
+// both wait on the Backoff ladder, so a parked reader's wake latency
+// is bounded by one nap — no descriptor, no syscall on the send side
+// at all. wclosed is the ring's goodbye: a reader that finds it set
+// and the ring drained ends cleanly.
 package comm
 
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"syscall"
-	"time"
 	"unsafe"
 )
 
@@ -79,41 +61,7 @@ const (
 	// under 1 MiB; 4 MiB keeps even paper-scale BigSim step blobs a
 	// single-publish affair.
 	DefaultShmRingBytes = 4 << 20
-
-	// Spin-then-park tuning, three rungs per empty poll streak.
-	// Rung 1: shmSpinYields runtime.Gosched calls — cheap (~150ns),
-	// catches frames already in flight from another local goroutine's
-	// perspective. Rung 2: shmYieldSpins sched_yield calls — when the
-	// reader is the only runnable goroutine, Gosched returns instantly
-	// and the reader would busy-burn its whole OS quantum, starving
-	// the co-located peer process that is producing the very frame it
-	// waits for; sched_yield (~340ns, not a futex) hands the core to
-	// that peer while keeping wake latency at one scheduling round.
-	// Rung 3: timer sleeps — Linux timer granularity makes any
-	// sub-millisecond request sleep ~1ms regardless, so the nap is an
-	// honest millisecond and is entered only after the yield phase has
-	// kept the ring warm for over a millisecond of emptiness; a truly
-	// idle reader then costs ~0.1% of a core.
-	shmSpinYields = 64
-	shmYieldSpins = 4096
-	shmParkNap    = time.Millisecond
 )
-
-// OSYield surrenders the rest of this thread's kernel timeslice via
-// sched_yield, then rotates the local run queue too. runtime.Gosched
-// alone only rotates goroutines within this process — when a spinner
-// is the only runnable goroutine it returns instantly and the spin
-// burns the whole OS quantum a co-located peer process needs; the
-// OS yield alone would conversely starve same-process goroutines
-// (the in-process harnesses run both workers in one runtime). Both
-// together cost ~500ns and give everyone else a turn. Any busy-wait
-// that can face a co-located process on the other end of the fabric
-// (ring readers here, the shard migration driver) should use this
-// instead of bare Gosched.
-func OSYield() {
-	syscall.Syscall(syscall.SYS_SCHED_YIELD, 0, 0, 0)
-	runtime.Gosched()
-}
 
 // shmRing is one mapped SPSC ring (either direction of a pair).
 type shmRing struct {
@@ -251,7 +199,7 @@ func (r *shmRing) readable() uint64 { return r.tail.Load() - r.head.Load() }
 
 // tryPush copies frame into the ring and publishes it with one
 // release-store of tail; false when the ring lacks space. Caller is
-// the single producer (holds the transport's per-ring mutex).
+// the single producer (holds the link's mutex).
 func (r *shmRing) tryPush(frame []byte) bool {
 	need := uint64(len(frame))
 	tail := r.tail.Load()
@@ -304,311 +252,126 @@ func (r *shmRing) copyOut(dst []byte, pos uint64) {
 	copy(dst[n1:], r.data)
 }
 
-// ShmTransport implements ShardTransport over the mapped ring mesh.
-type ShmTransport struct {
-	self    int
-	workers int
-	owner   func(pe int) int
-	network *Network
-	ctrl    ControlHandler
-
-	out   []*shmRing // out[w]: self → w (nil for self)
-	outMu []sync.Mutex
-	in    []*shmRing // in[w]: w → self
-
-	done    chan struct{}
-	closed  atomic.Bool
-	retired atomic.Bool
-	wgR     sync.WaitGroup
-
-	framesSent   atomic.Uint64
-	bytesWritten atomic.Uint64
-	framesRecv   atomic.Uint64
-	bytesRead    atomic.Uint64
-	wakes        atomic.Uint64
-	parks        atomic.Uint64
-}
-
 // NewShmTransport opens worker self's half of the ring mesh under dir
 // (created beforehand by CreateShmMesh). owner maps a global PE index
 // to its owning worker, exactly as for NewSocketTransport; it may be
 // nil for a control-only transport that never Delivers envelopes.
-func NewShmTransport(self, workers int, owner func(pe int) int, dir string) (*ShmTransport, error) {
+func NewShmTransport(self, workers int, owner func(pe int) int, dir string) (*LinkTransport, error) {
 	if self < 0 || self >= workers || workers < 2 {
 		return nil, fmt.Errorf("comm: NewShmTransport: worker %d of %d", self, workers)
 	}
-	t := &ShmTransport{
-		self: self, workers: workers, owner: owner,
-		out: make([]*shmRing, workers), outMu: make([]sync.Mutex, workers),
-		in:   make([]*shmRing, workers),
-		done: make(chan struct{}),
-	}
-	fail := func(err error) (*ShmTransport, error) {
-		for _, r := range t.out {
-			if r != nil {
-				r.close()
-			}
-		}
-		for _, r := range t.in {
-			if r != nil {
-				r.close()
-			}
-		}
-		return nil, err
-	}
+	t := newLinkTransport(self, workers, owner)
 	for w := 0; w < workers; w++ {
-		if w == t.self {
+		if w == self {
 			continue
 		}
-		var err error
-		if t.out[w], err = openShmRing(ShmRingPath(dir, self, w)); err != nil {
-			return fail(err)
+		out, err := openShmRing(ShmRingPath(dir, self, w))
+		if err != nil {
+			t.Close()
+			return nil, err
 		}
-		if t.in[w], err = openShmRing(ShmRingPath(dir, w, self)); err != nil {
-			return fail(err)
+		in, err := openShmRing(ShmRingPath(dir, w, self))
+		if err != nil {
+			out.close()
+			t.Close()
+			return nil, err
 		}
+		t.links[w] = &shmLink{out: out, in: in, done: t.done, st: &t.st}
 	}
 	return t, nil
 }
 
-// SetControlHandler installs the control-frame callback (before
-// Start). Same borrow-only payload rule as the socket transport.
-func (t *ShmTransport) SetControlHandler(h ControlHandler) { t.ctrl = h }
-
-// Attach shards n onto this transport: PEs [peLo, peHi) are local.
-func (t *ShmTransport) Attach(n *Network, peLo, peHi int) error {
-	if err := n.SetTransport(t, peLo, peHi); err != nil {
-		return err
-	}
-	t.network = n
-	return nil
+// shmLink is one ring link: the outbound ring this process produces
+// into and the inbound ring its reader consumes.
+type shmLink struct {
+	mu   sync.Mutex // serializes local producers; orders against close
+	out  *shmRing   // nil once closed
+	in   *shmRing
+	done <-chan struct{}
+	st   *linkStats
 }
 
-// Start launches one reader goroutine per inbound ring. Unlike the
-// socket transport, a nil network is allowed: a control-only
-// ShmTransport (no Attach) carries SendControl traffic — the sharded
-// BigSim step exchange uses one — and an envelope frame arriving on
-// it is a protocol error.
-func (t *ShmTransport) Start() error {
-	for w, r := range t.in {
-		if r == nil {
-			continue
-		}
-		t.wgR.Add(1)
-		go t.readLoop(w, r)
+// write publishes one frame into the outbound ring, waiting out a
+// full ring on the Backoff ladder. The mutex both serializes local
+// senders (SPSC's single producer) and orders against close, which
+// takes it to mark the ring closed: a frame accepted here is
+// published before the peer can observe wclosed.
+func (l *shmLink) write(frame []byte) error {
+	defer putBuf(frame)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	r := l.out
+	if r == nil {
+		return fmt.Errorf("comm: shm link closed")
 	}
-	return nil
-}
-
-// Deliver implements Transport: encode one envelope frame into a
-// recycled buffer and publish it into the destination worker's ring.
-func (t *ShmTransport) Deliver(pe int, msgs []*Message) error {
-	w := t.owner(pe)
-	if w == t.self || w < 0 || w >= t.workers {
-		return fmt.Errorf("comm: Deliver(%d): PE maps to worker %d (self %d)", pe, w, t.self)
-	}
-	frame, err := envelopeFrame(pe, msgs)
-	if err != nil {
-		return err
-	}
-	err = t.writeFrame(w, frame)
-	putBuf(frame)
-	return err
-}
-
-// SendControl publishes a control frame for peer worker w. FIFO with
-// any envelopes previously published for w (same ring).
-func (t *ShmTransport) SendControl(w int, kind uint32, payload []byte) error {
-	if w == t.self || w < 0 || w >= t.workers {
-		return fmt.Errorf("comm: SendControl(%d): invalid peer", w)
-	}
-	frame, err := controlFrame(t.self, kind, payload)
-	if err != nil {
-		return err
-	}
-	err = t.writeFrame(w, frame)
-	putBuf(frame)
-	return err
-}
-
-// Broadcast sends a control frame to every peer.
-func (t *ShmTransport) Broadcast(kind uint32, payload []byte) error {
-	for w := range t.out {
-		if w == t.self {
-			continue
-		}
-		if err := t.SendControl(w, kind, payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeFrame publishes one frame into the ring to w, waiting out a
-// full ring with the same yield-then-nap backoff the readers use. The
-// per-ring mutex both serializes local senders (SPSC's single
-// producer) and orders against Close, which acquires it before
-// marking the ring closed: a frame accepted here is published before
-// the peer can observe wclosed.
-func (t *ShmTransport) writeFrame(w int, frame []byte) error {
-	r := t.out[w]
 	if uint64(len(frame)) > r.capacity {
 		return fmt.Errorf("comm: frame of %d bytes exceeds shm ring capacity %d", len(frame), r.capacity)
 	}
-	t.outMu[w].Lock()
-	defer t.outMu[w].Unlock()
-	if t.closed.Load() {
-		return fmt.Errorf("comm: shm transport closed")
-	}
-	for idle := 0; !r.tryPush(frame); idle++ {
+	var b Backoff
+	for !r.tryPush(frame) {
 		if r.rclosed.Load() != 0 {
-			return fmt.Errorf("comm: shm ring to worker %d: reader detached", w)
+			return fmt.Errorf("comm: shm ring reader detached")
 		}
 		select {
-		case <-t.done:
-			return fmt.Errorf("comm: shm transport closed")
+		case <-l.done:
+			return fmt.Errorf("comm: shm link closed")
 		default:
 		}
-		switch {
-		case idle < shmSpinYields:
-			runtime.Gosched()
-		case idle < shmSpinYields+shmYieldSpins:
-			// A full ring means the reader's process is behind;
-			// give it the core so it can drain.
-			OSYield()
-		default:
-			time.Sleep(shmParkNap)
-		}
+		// A full ring means the reader's process is behind; give it
+		// the core so it can drain.
+		b.Wait()
 	}
-	t.framesSent.Add(1)
-	t.bytesWritten.Add(uint64(len(frame)))
+	l.st.writeBatches.Add(1)
 	return nil
 }
 
-// readLoop drains one inbound ring: spin-then-park when empty, pop
-// and dispatch otherwise. Exits when the peer closed the ring and it
-// is drained, or when the local transport is closing.
-func (t *ShmTransport) readLoop(w int, r *shmRing) {
-	defer t.wgR.Done()
-	defer r.rclosed.Store(1)
-	idle := 0
+// read pops the next frame off the inbound ring, waiting on the
+// Backoff ladder while it is empty; the wait is one idle streak, and
+// its Backoff counts the streak's park and wake.
+func (l *shmLink) read() ([]byte, error) {
+	wait := Backoff{st: l.st}
 	for {
-		buf, ok, err := r.readFrame()
+		buf, ok, err := l.in.readFrame()
 		if err != nil {
-			t.ringFailed(w, err)
-			return
+			return nil, err
 		}
-		if !ok {
-			if r.wclosed.Load() != 0 {
-				if r.readable() == 0 {
-					return // peer closed and drained
-				}
-				continue // frames published before the close: drain them
-			}
-			select {
-			case <-t.done:
-				return
-			default:
-			}
-			idle++
-			switch {
-			case idle <= shmSpinYields:
-				runtime.Gosched()
-			case idle <= shmSpinYields+shmYieldSpins:
-				OSYield()
-			default:
-				if idle == shmSpinYields+shmYieldSpins+1 {
-					t.parks.Add(1)
-				}
-				time.Sleep(shmParkNap)
-			}
-			continue
+		if ok {
+			wait.Reset()
+			return buf, nil
 		}
-		if idle > shmSpinYields+shmYieldSpins {
-			t.wakes.Add(1)
+		// The writer stores wclosed after its last publish, so frames
+		// published before the close are drained first.
+		if l.in.wclosed.Load() != 0 && l.in.readable() == 0 {
+			return nil, io.EOF
 		}
-		idle = 0
-		t.framesRecv.Add(1)
-		t.bytesRead.Add(uint64(4 + len(buf)))
-		if err := dispatchFrame(t.network, t.ctrl, buf); err != nil {
-			t.ringFailed(w, err)
-			return
+		select {
+		case <-l.done:
+			return nil, fmt.Errorf("comm: shm link closed")
+		default:
 		}
-		putBuf(buf)
+		wait.Wait()
 	}
 }
 
-// ringFailed enforces the hard-error policy, mirroring the socket
-// transport's linkFailed.
-func (t *ShmTransport) ringFailed(w int, err error) {
-	if t.closed.Load() || t.retired.Load() {
-		return // expected teardown noise
+// backlog is the bytes published to the peer but not yet consumed.
+func (l *shmLink) backlog() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.out == nil {
+		return 0
 	}
-	panic(fmt.Sprintf("comm: shm transport worker %d: ring with worker %d failed: %v", t.self, w, err))
+	return int(l.out.readable())
 }
 
-// Retire marks the run complete: ring faults after this point are
-// expected teardown noise. Call once the termination barrier has been
-// crossed, before Close.
-func (t *ShmTransport) Retire() { t.retired.Store(true) }
-
-// Close implements Transport: mark every outbound ring closed (under
-// its mutex, so in-flight writes finish publishing first), stop the
-// readers, then unmap. Outbound rings close before the reader wait so
-// two workers closing concurrently cannot deadlock: each side's
-// readers see the peer's wclosed (or their own done) and exit.
-func (t *ShmTransport) Close() error {
-	if t.closed.Swap(true) {
-		return nil
-	}
-	close(t.done)
-	for w, r := range t.out {
-		if r == nil {
-			continue
-		}
-		t.outMu[w].Lock()
-		r.wclosed.Store(1)
-		t.outMu[w].Unlock()
-	}
-	t.wgR.Wait()
-	t.retired.Store(true)
-	for _, r := range t.out {
-		if r != nil {
-			r.close()
-		}
-	}
-	for _, r := range t.in {
-		if r != nil {
-			r.close()
-		}
-	}
-	return nil
-}
-
-// Backlog reports bytes published to peers but not yet consumed — the
-// adaptive aggregation backpressure signal (Backlogger).
-func (t *ShmTransport) Backlog() int {
-	var n uint64
-	for _, r := range t.out {
-		if r != nil {
-			n += r.readable()
-		}
-	}
-	return int(n)
-}
-
-// SocketStats returns the ring counters in the shared multi-process
-// stats shape. WriteSyscalls stays zero — the whole point — and every
-// frame is its own publish, so WriteBatches == FramesSent.
-func (t *ShmTransport) SocketStats() SocketStats {
-	fs := t.framesSent.Load()
-	return SocketStats{
-		WriteBatches: fs,
-		FramesSent:   fs,
-		BytesWritten: t.bytesWritten.Load(),
-		FramesRecv:   t.framesRecv.Load(),
-		BytesRead:    t.bytesRead.Load(),
-		Wakes:        t.wakes.Load(),
-		Parks:        t.parks.Load(),
-	}
+// close marks the outbound ring closed (under the mutex, so in-flight
+// writes finish publishing first), detaches from the inbound ring and
+// unmaps both.
+func (l *shmLink) close() {
+	l.mu.Lock()
+	l.out.wclosed.Store(1)
+	l.out.close()
+	l.out = nil
+	l.mu.Unlock()
+	l.in.rclosed.Store(1)
+	l.in.close()
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -14,7 +15,7 @@ import (
 // sharded 4-PE networks in one process, linked by a ring mesh in a
 // temp directory. ringBytes sizes the rings (0 = a small 64 KiB so
 // tests exercise realistic occupancy).
-func twoShmShards(t *testing.T, ringBytes int) (n0, n1 *Network, t0, t1 *ShmTransport) {
+func twoShmShards(t *testing.T, ringBytes int) (n0, n1 *Network, t0, t1 *LinkTransport) {
 	t.Helper()
 	if ringBytes == 0 {
 		ringBytes = 1 << 16
@@ -48,7 +49,7 @@ func twoShmShards(t *testing.T, ringBytes int) (n0, n1 *Network, t0, t1 *ShmTran
 	return n0, n1, t0, t1
 }
 
-func shmStart(t *testing.T, t0, t1 *ShmTransport) {
+func shmStart(t *testing.T, t0, t1 *LinkTransport) {
 	t.Helper()
 	if err := t0.Start(); err != nil {
 		t.Fatal(err)
@@ -379,4 +380,35 @@ func FuzzShmFrame(f *testing.F) {
 			putBuf(buf)
 		}
 	})
+}
+
+// TestShmReaderParksOncePerIdleStreak checks the Backoff accounting
+// of an idle ring reader: exactly one park per idle streak however
+// long it naps, and one wake when the next frame lands.
+func TestShmReaderParksOncePerIdleStreak(t *testing.T) {
+	_, _, t0, t1 := twoShmShards(t, 0)
+	got := make(chan struct{}, 1)
+	t1.SetControlHandler(func(int, uint32, []byte) { got <- struct{}{} })
+	shmStart(t, t0, t1)
+
+	waitFor(t, "the idle reader to park", func() bool { return t1.SocketStats().Parks == 1 })
+	time.Sleep(20 * backoffNap) // many more naps in the same streak
+	if st := t1.SocketStats(); st.Parks != 1 || st.Wakes != 0 {
+		t.Fatalf("one idle streak: parks %d, wakes %d; want 1, 0", st.Parks, st.Wakes)
+	}
+	if err := t0.SendControl(1, 7, nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("control frame never reached the parked reader")
+	}
+	if st := t1.SocketStats(); st.Parks != 1 || st.Wakes != 1 {
+		t.Fatalf("after the frame: parks %d, wakes %d; want 1, 1", st.Parks, st.Wakes)
+	}
+	waitFor(t, "the second idle streak to park", func() bool { return t1.SocketStats().Parks == 2 })
+	if st := t1.SocketStats(); st.Wakes != 1 {
+		t.Fatalf("second streak: wakes %d, want 1", st.Wakes)
+	}
 }

@@ -1,9 +1,12 @@
 package comm
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -13,7 +16,7 @@ import (
 // worker 0 owning PEs [0,2), worker 1 owning [2,4) — linked by a real
 // unix-domain socket pair, with identical directory contents on both
 // sides (the sharded-run invariant).
-func twoShards(t *testing.T) (n0, n1 *Network, t0, t1 *SocketTransport) {
+func twoShards(t *testing.T) (n0, n1 *Network, t0, t1 *LinkTransport) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "x.sock")
 	l, err := net.Listen("unix", path)
@@ -120,10 +123,10 @@ func TestSocketTransportSend(t *testing.T) {
 // t1Start starts both transports (helper; Start needs all peers).
 func t1Start(t *testing.T, n0, n1 *Network) error {
 	t.Helper()
-	if err := n0.Transport().(*SocketTransport).Start(); err != nil {
+	if err := n0.Transport().(*LinkTransport).Start(); err != nil {
 		return err
 	}
-	return n1.Transport().(*SocketTransport).Start()
+	return n1.Transport().(*LinkTransport).Start()
 }
 
 // TestSocketTransportAggregated drives SendStream traffic across the
@@ -249,4 +252,63 @@ func TestSocketTransportControl(t *testing.T) {
 		t.Fatalf("control frame: %q", got[0])
 	}
 	mu.Unlock()
+}
+
+// TestSocketLinkHostile mirrors TestShmRingHostile for the socket
+// link reader: a zero or oversized length prefix, a body cut short
+// and an unknown type byte must each end in an error — never a clean
+// EOF, never a panic — and a forged length must be rejected before
+// the reader allocates what it claims.
+func TestSocketLinkHostile(t *testing.T) {
+	cases := []struct {
+		name  string
+		img   []byte
+		claim uint64 // bytes the prefix claims, for the allocation check
+	}{
+		{"zero length", []byte{0, 0, 0, 0}, 0},
+		{"length above limit", binary.LittleEndian.AppendUint32(nil, maxFrameLen+1), maxFrameLen + 1},
+		{"length max u32", []byte{0xff, 0xff, 0xff, 0xff}, 1<<32 - 1},
+		{"truncated body", append(binary.LittleEndian.AppendUint32(nil, 100), frameControl, 1, 2, 3), 0},
+		{"unknown type", append(binary.LittleEndian.AppendUint32(nil, 3), 0x7f, 1, 2), 0},
+		{"eof without goodbye", nil, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := net.Pipe()
+			defer a.Close()
+			l := newSockLink(a, nil, &linkStats{}, func(error) {})
+			go func() {
+				b.Write(tc.img)
+				b.Close()
+			}()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			buf, err := l.read()
+			if err == nil {
+				err = dispatchFrame(nil, nil, buf)
+			}
+			runtime.ReadMemStats(&after)
+			if err == nil || err == io.EOF {
+				t.Fatalf("hostile frame accepted (err %v)", err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; tc.claim > 0 && grew >= 1<<20 {
+				t.Fatalf("reader allocated %d bytes for a frame claiming %d", grew, tc.claim)
+			}
+		})
+	}
+}
+
+// TestSocketLinkGoodbye checks the one clean end of a socket link: a
+// goodbye frame reads as io.EOF.
+func TestSocketLinkGoodbye(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	l := newSockLink(a, nil, &linkStats{}, func(error) {})
+	go func() {
+		b.Write(goodbyeFrame)
+		b.Close()
+	}()
+	if _, err := l.read(); err != io.EOF {
+		t.Fatalf("goodbye read as %v, want io.EOF", err)
+	}
 }

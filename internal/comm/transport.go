@@ -41,22 +41,6 @@ type Transport interface {
 	Close() error
 }
 
-// ShardTransport is the full surface a multi-process worker needs
-// from its fabric: envelope delivery (Transport) plus the control
-// plane and lifecycle shared by the socket and shared-memory
-// backends. shard.Worker holds one of these, so a run picks its
-// fabric at rendezvous time.
-type ShardTransport interface {
-	Transport
-	Attach(n *Network, peLo, peHi int) error
-	SetControlHandler(h ControlHandler)
-	Start() error
-	SendControl(w int, kind uint32, payload []byte) error
-	Broadcast(kind uint32, payload []byte) error
-	Retire()
-	SocketStats() SocketStats
-}
-
 // Backlogger is implemented by transports that can report how many
 // frame bytes are queued (or published) but not yet consumed by the
 // far side that they know about. The adaptive aggregation policy

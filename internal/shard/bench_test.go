@@ -8,7 +8,6 @@ package shard
 // writev, read, decode — without subprocess-spawn noise.
 
 import (
-	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -35,39 +34,33 @@ func spinUntil(pending func() int) {
 }
 
 // benchShards mirrors comm's twoShards helper for benchmarks: two
-// 4-PE sharded networks joined by one unix socket.
-func benchShards(b *testing.B) (n0, n1 *comm.Network, t0, t1 *comm.SocketTransport) {
+// 4-PE sharded networks joined by a real fabric — one unix socket, or
+// mmap'd rings on tmpfs.
+func benchShards(b *testing.B, netKind string) (n0, n1 *comm.Network, t0, t1 *comm.LinkTransport) {
 	b.Helper()
-	c0, c1 := pairConns(b)
+	fabs := pairFabrics(b, netKind)
 	owner := func(pe int) int { return pe / 2 }
 	lat := comm.LatencyModel{Alpha: 1000, BetaPerByte: 0.4}
-	n0, n1 = comm.NewNetwork(4, lat), comm.NewNetwork(4, lat)
-	t0, t1 = comm.NewSocketTransport(0, 2, owner), comm.NewSocketTransport(1, 2, owner)
-	if err := t0.AddPeer(1, c0); err != nil {
-		b.Fatal(err)
+	ns := [2]*comm.Network{comm.NewNetwork(4, lat), comm.NewNetwork(4, lat)}
+	var ts [2]*comm.LinkTransport
+	for i := range ts {
+		t, err := fabricTransport(i, 2, owner, fabs[i])
+		if err != nil {
+			b.Fatal(err)
+		}
+		ts[i] = t
+		b.Cleanup(func() {
+			t.Retire()
+			t.Close()
+		})
+		if err := t.Attach(ns[i], 2*i, 2*i+2); err != nil {
+			b.Fatal(err)
+		}
+		if err := t.Start(); err != nil {
+			b.Fatal(err)
+		}
 	}
-	if err := t1.AddPeer(0, c1); err != nil {
-		b.Fatal(err)
-	}
-	if err := t0.Attach(n0, 0, 2); err != nil {
-		b.Fatal(err)
-	}
-	if err := t1.Attach(n1, 2, 4); err != nil {
-		b.Fatal(err)
-	}
-	if err := t0.Start(); err != nil {
-		b.Fatal(err)
-	}
-	if err := t1.Start(); err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() {
-		t0.Retire()
-		t1.Retire()
-		t0.Close()
-		t1.Close()
-	})
-	return n0, n1, t0, t1
+	return ns[0], ns[1], ts[0], ts[1]
 }
 
 // BenchmarkTransportSendLocal is the baseline: Send + Poll on the
@@ -103,53 +96,11 @@ func reportWireMetrics(b *testing.B, st comm.SocketStats) {
 	}
 }
 
-// benchShmShards mirrors benchShards over the shared-memory fabric:
-// two 4-PE sharded networks joined by mmap'd rings on tmpfs.
-func benchShmShards(b *testing.B) (n0, n1 *comm.Network, t0, t1 *comm.ShmTransport) {
-	b.Helper()
-	dir, err := os.MkdirTemp(comm.ShmDir(), "migflow-bench-*")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { os.RemoveAll(dir) })
-	if err := comm.CreateShmMesh(dir, 2, 0); err != nil {
-		b.Fatal(err)
-	}
-	owner := func(pe int) int { return pe / 2 }
-	lat := comm.LatencyModel{Alpha: 1000, BetaPerByte: 0.4}
-	n0, n1 = comm.NewNetwork(4, lat), comm.NewNetwork(4, lat)
-	if t0, err = comm.NewShmTransport(0, 2, owner, dir); err != nil {
-		b.Fatal(err)
-	}
-	if t1, err = comm.NewShmTransport(1, 2, owner, dir); err != nil {
-		b.Fatal(err)
-	}
-	if err := t0.Attach(n0, 0, 2); err != nil {
-		b.Fatal(err)
-	}
-	if err := t1.Attach(n1, 2, 4); err != nil {
-		b.Fatal(err)
-	}
-	if err := t0.Start(); err != nil {
-		b.Fatal(err)
-	}
-	if err := t1.Start(); err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() {
-		t0.Retire()
-		t1.Retire()
-		t0.Close()
-		t1.Close()
-	})
-	return n0, n1, t0, t1
-}
-
 // BenchmarkTransportSendCross sends PE0→PE2 across a real unix
 // socket and waits for delivery on the far Network — one message per
 // wire envelope, the anti-coalescing worst case.
 func BenchmarkTransportSendCross(b *testing.B) {
-	n0, n1, t0, _ := benchShards(b)
+	n0, n1, t0, _ := benchShards(b, "unix")
 	for _, n := range []*comm.Network{n0, n1} {
 		if err := n.Register(comm.EntityID(9), 2); err != nil {
 			b.Fatal(err)
@@ -174,7 +125,7 @@ func BenchmarkTransportSendCross(b *testing.B) {
 // workload over the shared-memory rings — the co-located wire-tax
 // headline number against the socket baseline above.
 func BenchmarkTransportSendCrossShm(b *testing.B) {
-	n0, n1, t0, t1 := benchShmShards(b)
+	n0, n1, t0, t1 := benchShards(b, "shm")
 	for _, n := range []*comm.Network{n0, n1} {
 		if err := n.Register(comm.EntityID(9), 2); err != nil {
 			b.Fatal(err)
@@ -203,7 +154,7 @@ func BenchmarkTransportSendCrossShm(b *testing.B) {
 // frames and the writer drains whole queues per writev, so the
 // envelopes-per-syscall metric is what the coalescing buys.
 func BenchmarkTransportSendCrossStream(b *testing.B) {
-	n0, n1, t0, _ := benchShards(b)
+	n0, n1, t0, _ := benchShards(b, "unix")
 	for _, n := range []*comm.Network{n0, n1} {
 		if err := n.Register(comm.EntityID(9), 2); err != nil {
 			b.Fatal(err)
@@ -239,7 +190,7 @@ func BenchmarkTransportSendCrossStream(b *testing.B) {
 // over the shared-memory rings: coalesced frames publish with no
 // syscalls at all.
 func BenchmarkTransportSendCrossStreamShm(b *testing.B) {
-	n0, n1, t0, _ := benchShmShards(b)
+	n0, n1, t0, _ := benchShards(b, "shm")
 	for _, n := range []*comm.Network{n0, n1} {
 		if err := n.Register(comm.EntityID(9), 2); err != nil {
 			b.Fatal(err)

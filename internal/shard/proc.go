@@ -197,21 +197,49 @@ func Run(spec ProcSpec) ([]json.RawMessage, error) {
 		wp.in.Close()
 	}
 
-	// Collect results. Non-protocol stdout lines pass through.
-	results := make([]json.RawMessage, spec.Workers)
+	// Collect results, reading every worker's stdout at once: the first
+	// worker to exit without a RESULT (or to print ERROR) fails the run
+	// whatever its index — its peers may be waiting on it forever.
+	// Non-protocol stdout lines pass through.
+	type outLine struct {
+		i    int
+		line string
+		err  error // the worker's stdout ended
+	}
+	lines := make(chan outLine)
+	stop := make(chan struct{})
+	defer close(stop)
 	for i, wp := range procs {
-		for results[i] == nil {
-			line, err := wp.out.ReadString('\n')
-			switch {
-			case strings.HasPrefix(line, "RESULT "):
-				results[i] = json.RawMessage(strings.TrimSpace(line[len("RESULT "):]))
-			case strings.HasPrefix(line, "ERROR "):
-				return fail("shard: worker %d: %s", i, strings.TrimSpace(line[len("ERROR "):]))
-			case err != nil:
-				return fail("shard: worker %d exited without a result: %v", i, err)
-			default:
-				fmt.Fprintf(os.Stderr, "[shard worker %d] %s", i, line)
+		go func() {
+			for {
+				line, err := wp.out.ReadString('\n')
+				select {
+				case lines <- outLine{i, line, err}:
+				case <-stop:
+					return
+				}
+				if err != nil {
+					return
+				}
 			}
+		}()
+	}
+	results := make([]json.RawMessage, spec.Workers)
+	for left := spec.Workers; left > 0; {
+		ol := <-lines
+		i, line := ol.i, ol.line
+		switch {
+		case results[i] != nil:
+			// the worker's stdout closing after its RESULT
+		case strings.HasPrefix(line, "RESULT "):
+			results[i] = json.RawMessage(strings.TrimSpace(line[len("RESULT "):]))
+			left--
+		case strings.HasPrefix(line, "ERROR "):
+			return fail("shard: worker %d: %s", i, strings.TrimSpace(line[len("ERROR "):]))
+		case ol.err != nil:
+			return fail("shard: worker %d exited without a result: %v", i, ol.err)
+		default:
+			fmt.Fprintf(os.Stderr, "[shard worker %d] %s", i, line)
 		}
 	}
 	for i, wp := range procs {

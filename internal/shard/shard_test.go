@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -24,6 +25,33 @@ import (
 	"migflow/internal/core"
 	"migflow/internal/npb"
 )
+
+func init() {
+	RegisterApp("dies-after-rendezvous", func(index, workers int, fab Fabric, _ []byte) (any, error) {
+		if index == 1 {
+			os.Exit(3)
+		}
+		t, err := fabricTransport(index, workers, func(pe int) int { return pe }, fab)
+		if err != nil {
+			return nil, err
+		}
+		if err := t.Attach(comm.NewNetwork(workers, comm.LatencyModel{}), index, index+1); err != nil {
+			return nil, err
+		}
+		got := make(chan struct{})
+		t.SetControlHandler(func(int, uint32, []byte) { close(got) })
+		if err := t.Start(); err != nil {
+			return nil, err
+		}
+		// Retired, worker 0 takes the lost link for teardown noise
+		// rather than crashing, so on either fabric it waits forever,
+		// like a ring reader whose peer was killed: only Run can end
+		// the run.
+		t.Retire()
+		<-got
+		return nil, nil
+	})
+}
 
 func TestMain(m *testing.M) {
 	if WorkerMain() {
@@ -598,6 +626,51 @@ func TestRecordRaceNotYetInstalled(t *testing.T) {
 	compareReports(t, ref, merged, cfg.Ranks)
 	if merged.Moved != 1 {
 		t.Fatalf("moved %d ranks, want 1", merged.Moved)
+	}
+}
+
+// shardDirs lists the rendezvous directories Run has left on disk.
+func shardDirs(t *testing.T) map[string]bool {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(comm.ShmDir(), "migflow-shard-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := map[string]bool{}
+	for _, p := range paths {
+		dirs[p] = true
+	}
+	return dirs
+}
+
+// TestWorkerDeathFailsFast: worker 1 exits after rendezvous while
+// worker 0 waits on it for good. Run must notice the dead worker
+// whatever its index, kill the survivor and return an error naming
+// worker 1, leaving no rendezvous directory behind — over rings, where
+// the survivor cannot tell its peer died, as over sockets.
+func TestWorkerDeathFailsFast(t *testing.T) {
+	for _, netKind := range []string{"shm", "unix"} {
+		t.Run(netKind, func(t *testing.T) {
+			before := shardDirs(t)
+			errc := make(chan error, 1)
+			go func() {
+				_, err := Run(ProcSpec{App: "dies-after-rendezvous", Workers: 2, Net: netKind})
+				errc <- err
+			}()
+			select {
+			case err := <-errc:
+				if err == nil || !strings.Contains(err.Error(), "worker 1 exited without a result") {
+					t.Fatalf("Run returned %v, want worker 1 named as dead", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run still waiting 10s after worker 1 died")
+			}
+			for d := range shardDirs(t) {
+				if !before[d] {
+					t.Fatalf("rendezvous directory %s left behind", d)
+				}
+			}
+		})
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package shard runs one Machine as a group of OS processes: each
 // worker owns a contiguous PE range of the SAME machine configuration
-// and bridges the rest over unix-domain or TCP sockets
-// (comm.SocketTransport) or, for co-located workers, shared-memory
-// rings (comm.ShmTransport). Every worker builds the identical job —
+// and bridges the rest through one comm.LinkTransport, whose links
+// are unix-domain or TCP sockets or, for co-located workers,
+// shared-memory rings. Every worker builds the identical job —
 // directories, entity IDs, and the program tree are deterministic
 // functions of the config — so the only cross-process state is
 // message envelopes, migration records, and the control frames of the
@@ -24,16 +24,15 @@
 // while any rank is alive or in transit. Teardown is two-phase: on
 // stop each worker retires its links and tells every peer so
 // (RETIRED), and Close tears links down only after every peer has
-// done the same — otherwise, with three or more workers, one closing
-// early reads as a crash to a peer that has not yet seen stop. Worker
-// failure remains a hard error (transport policy): there is no
-// restart or rebalance.
+// done the same — otherwise, with three or more workers, a peer that
+// has not yet seen stop could still write to one that closed early,
+// and fail. Worker failure remains a hard error (transport policy):
+// there is no restart or rebalance.
 package shard
 
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,8 +49,8 @@ const (
 	ctrlMoved      uint32 = 3 // u32 rank, u32 toPE → workers not party to a move
 	ctrlAck        uint32 = 4 // destination → source: record installed
 	ctrlStop       uint32 = 5 // coordinator → all: global termination
-	ctrlBlob       uint32 = 6 // bigsim step frame over the shm fabric
-	ctrlRetired    uint32 = 7 // all → all: sender treats link EOF as teardown now
+	ctrlBlob       uint32 = 6 // bigsim step frame
+	ctrlRetired    uint32 = 7 // all → all: sender treats link faults as teardown now
 )
 
 // retireWait bounds how long Close waits for every peer's RETIRED
@@ -73,15 +72,15 @@ func OwnerOf(numPEs, workers, pe int) int {
 }
 
 // Worker is one process's share of a sharded job: its machine (local
-// PE range), the job built on it, and the fabric transport (sockets
-// or shared-memory rings) plus termination-protocol state.
+// PE range), the job built on it, and the transport over the fabric
+// plus termination-protocol state.
 type Worker struct {
 	Index   int
 	Workers int
 	NumPEs  int
 	M       *core.Machine
 	Job     *ampi.Job
-	T       comm.ShardTransport
+	T       *comm.LinkTransport
 
 	installs    atomic.Uint64 // records installed into this worker
 	acked       atomic.Uint64 // this worker's extracts acknowledged
@@ -108,16 +107,17 @@ type Worker struct {
 	peerExtra []uint64
 }
 
-// fabricTransport builds the ShardTransport the fabric selects:
-// shared-memory rings when fab.Net is "shm", a socket transport over
-// fab.Conns otherwise.
-func fabricTransport(index, workers int, owner func(pe int) int, fab Fabric) (comm.ShardTransport, error) {
+// fabricTransport builds the transport over the fabric's links:
+// shared-memory rings when fab.Net is "shm", fab.Conns otherwise.
+// owner may be nil for a control-only transport.
+func fabricTransport(index, workers int, owner func(pe int) int, fab Fabric) (*comm.LinkTransport, error) {
 	if fab.Net == "shm" {
 		return comm.NewShmTransport(index, workers, owner, fab.Dir)
 	}
 	t := comm.NewSocketTransport(index, workers, owner)
 	for p, c := range fab.Conns {
 		if err := t.AddPeer(p, c); err != nil {
+			t.Close()
 			return nil, err
 		}
 	}
@@ -142,10 +142,12 @@ func NewWorker(index, workers, numPEs int, fab Fabric, build func(*core.Machine)
 		return nil, err
 	}
 	if err := t.Attach(m.Network(), lo, hi); err != nil {
+		t.Close()
 		return nil, err
 	}
 	job, err := build(m)
 	if err != nil {
+		t.Close()
 		return nil, err
 	}
 	w := &Worker{
@@ -159,6 +161,7 @@ func NewWorker(index, workers, numPEs int, fab Fabric, build func(*core.Machine)
 	}
 	t.SetControlHandler(w.control)
 	if err := t.Start(); err != nil {
+		t.Close()
 		return nil, err
 	}
 	return w, nil
@@ -293,17 +296,6 @@ func (w *Worker) Close() error {
 	return w.T.Close()
 }
 
-// Backoff for MigrateRanks' unproductive scans, mirroring the shm
-// reader's ladder: a few scheduler yields, then OS yields (a bare
-// Gosched spin starves the netpoller and co-located worker processes
-// of the very CPU that would make a rank migratable — on one core it
-// degrades each wait to sysmon's 10ms forced preemption), then
-// millisecond naps once the job has been quiet for a while.
-const (
-	migSpinYields = 16
-	migYieldSpins = 256
-)
-
 // MigrateRanks extracts up to n local ranks (whichever are parked at
 // a plain Recv when scanned) and ships them to toWorker's first PE,
 // mid-run, concurrently with the job. Returns the count actually
@@ -314,7 +306,10 @@ func (w *Worker) MigrateRanks(n, toWorker int) int {
 		return 0
 	}
 	toPE := Cut(w.NumPEs, w.Workers, toWorker)
-	moved, idle := 0, 0
+	moved := 0
+	// A bare Gosched spin would starve the netpoller and co-located
+	// worker processes of the very CPU that makes a rank migratable.
+	var wait comm.Backoff
 	for moved < n && !w.stop.Load() && !w.Job.Done() {
 		progressed := false
 		for r := 0; r < w.Job.Size() && moved < n; r++ {
@@ -348,18 +343,10 @@ func (w *Worker) MigrateRanks(n, toWorker int) int {
 			progressed = true
 		}
 		if progressed {
-			idle = 0
+			wait.Reset()
 			continue
 		}
-		idle++
-		switch {
-		case idle <= migSpinYields:
-			runtime.Gosched()
-		case idle <= migSpinYields+migYieldSpins:
-			comm.OSYield()
-		default:
-			time.Sleep(time.Millisecond)
-		}
+		wait.Wait()
 	}
 	w.movedOut.Add(int64(moved))
 	return moved
